@@ -160,7 +160,8 @@ def cmd_urs(args) -> int:
 def cmd_ground(args) -> int:
     machine = automata.deserialize(_read(args.machine))
     grid = _load_grid(args)
-    traces = gridworld.traces_from_csv(_read(args.traces), grid)
+    traces = gridworld.traces_from_csv(_read(args.traces), grid,
+                                       n_classes=len(machine.output_classes))
     if not traces:
         raise InputError("trace file holds no episodes")
     params = nrm.params_from_machine(machine)
@@ -212,6 +213,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if args.window < 1:
+        raise UsageError(f"--window must be at least 1, got {args.window}")
     series = []
     for path in args.csv:
         text = _read(path)

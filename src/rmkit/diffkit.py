@@ -2,11 +2,11 @@
 
 Each op computes its forward value eagerly and records a closure that
 scatters the output adjoint back to its parents; ``Value.backward`` runs
-the recorded graph in reverse topological order.  Shapes up to three axes
-are supported, which covers everything the package needs: MLPs, LSTM
-cells, and the probabilistic machine recurrence.  Non-finite numbers are
-surfaced as :class:`~rmkit.errors.NumericsError` when a loss is reduced or
-differentiated, not silently propagated.
+the recorded graph in reverse topological order and then releases it.
+Shapes up to three axes are supported, which covers everything the package
+needs: MLPs, LSTM cells, and the probabilistic machine recurrence.
+Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
+when a loss is reduced or differentiated, not silently propagated.
 """
 
 from __future__ import annotations
@@ -69,6 +69,14 @@ class Value:
     # -- backward pass -----------------------------------------------------
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into every leaf's grad, then release the graph.
+
+        Each op's closure refers to its own output node, a reference cycle
+        that only the cyclic garbage collector would free.  Dropping the
+        closures and parent links once they have run lets reference counting
+        free every intermediate array as soon as the caller drops the graph,
+        so a graph can be differentiated once.
+        """
         if self.data.shape != ():
             raise InputError("backward() expects a scalar loss")
         if not np.isfinite(self.data):
@@ -92,12 +100,17 @@ class Value:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward()
+                node._backward = None
+                node._parents = ()
 
 
 def _accum(v: Value, g: np.ndarray):
     if v.grad is None:
-        v.grad = np.zeros_like(v.data)
-    v.grad += g
+        # An owned copy: add, reshape and _unbroadcast pass out.grad through,
+        # so a later += must not write into another node's gradient.
+        v.grad = np.array(g, dtype=np.float64)
+    else:
+        v.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -381,32 +394,60 @@ def pmm_step(q: Value, p: Value, m) -> Value:
 
     ``q`` is a state-probability row (``[Q]`` or batched ``[B, Q]``), ``p``
     a symbol-probability row (``[P]`` or ``[B, P]``) and ``m`` the
-    ``[P, Q, Q]`` transition stack, either a constant array (machine known
-    and frozen) or a Value (machine being learned).
+    ``[P, Q, Q]`` transition stack; a :func:`pmm_scan` of length one.
     """
     q, p = _wrap(q), _wrap(p)
+    b = q.data.shape[0] if q.data.ndim == 2 else 1
+    out = pmm_scan(reshape(q, (b, -1)), reshape(p, (b, 1, -1)), m)
+    return reshape(out, q.data.shape)
+
+
+def pmm_scan(q0, p, m) -> Value:
+    """The whole probabilistic-machine recurrence as one graph node.
+
+    ``q(t)[o] = sum_i p[:, t, i] * (q(t-1) @ M[i])[o]`` from ``q(-1) = q0``.
+    ``q0`` is ``[B, Q]``, ``p`` is ``[B, T, P]`` and ``m`` the ``[P, Q, Q]``
+    transition stack, either a constant array (machine known and frozen) or
+    a Value (machine being learned); the result stacks q(0..T-1) as
+    ``[B, T, Q]``.  Backward is the reverse recursion of HMM
+    forward-backward: one loop carries dL/dq(t) from T-1 down to 0, then the
+    gradients of ``p``, ``m`` and ``q0`` follow for all steps at once.
+    """
+    q0_val = q0 if isinstance(q0, Value) else None
+    p_val = p if isinstance(p, Value) else None
     m_val = m if isinstance(m, Value) else None
-    m_data = m.data if m_val is not None else np.asarray(m, dtype=np.float64)
-    batched = q.data.ndim == 2
-    if batched:
-        out_data = np.einsum("bi,bq,iqo->bo", p.data, q.data, m_data)
-    else:
-        out_data = np.einsum("i,q,iqo->o", p.data, q.data, m_data)
-    parents = (q, p) if m_val is None else (q, p, m_val)
-    out = Value(out_data, parents)
+    q0_data = np.asarray(q0.data if q0_val is not None else q0, dtype=np.float64)
+    p_data = np.asarray(p.data if p_val is not None else p, dtype=np.float64)
+    m_data = np.asarray(m.data if m_val is not None else m, dtype=np.float64)
+    ok = p_data.ndim == 3 and p_data.shape[1] >= 1 and q0_data.ndim == 2
+    if not (ok and q0_data.shape[0] == p_data.shape[0]
+            and m_data.shape == (p_data.shape[2],) + 2 * q0_data.shape[1:]):
+        raise InputError(f"pmm_scan wants q0 [B, Q], p [B, T>=1, P] and m [P, Q, Q], got "
+                         f"{q0_data.shape}, {p_data.shape} and {m_data.shape}")
+    t_len = p_data.shape[1]
+    pt = np.ascontiguousarray(p_data.transpose(1, 0, 2))  # [T, B, P], one row block per step
+    qs = [q0_data]  # qs[t] = q(t-1)
+    for t in range(t_len):
+        qs.append(np.einsum("bi,bq,iqo->bo", pt[t], qs[t], m_data))
+    parents = tuple(v for v in (q0_val, p_val, m_val) if v is not None)
+    out = Value(np.stack(qs[1:], axis=1), parents)
 
     def backward():
         g = out.grad
-        if batched:
-            _accum(q, np.einsum("bi,iqo,bo->bq", p.data, m_data, g))
-            _accum(p, np.einsum("bq,iqo,bo->bi", q.data, m_data, g))
-            if m_val is not None:
-                _accum(m_val, np.einsum("bi,bq,bo->iqo", p.data, q.data, g))
-        else:
-            _accum(q, np.einsum("i,iqo,o->q", p.data, m_data, g))
-            _accum(p, np.einsum("q,iqo,o->i", q.data, m_data, g))
-            if m_val is not None:
-                _accum(m_val, np.einsum("i,q,o->iqo", p.data, q.data, g))
+        gq = g[:, -1].copy()  # dL/dq(T-1), contiguous like every later carry
+        carried = [gq]
+        for t in range(t_len - 1, 0, -1):
+            gq = g[:, t - 1] + np.einsum("bi,iqo,bo->bq", pt[t], m_data, gq)
+            carried.append(gq)
+        g_all = np.stack(carried[::-1])  # [T, B, Q]: dL/dq(t)
+        q_prev = np.stack(qs[:-1])  # [T, B, Q]: q(t-1)
+        if p_val is not None:
+            gp = np.einsum("tbq,iqo,tbo->tbi", q_prev, m_data, g_all)
+            _accum(p_val, gp.transpose(1, 0, 2))
+        if m_val is not None:
+            _accum(m_val, np.einsum("tbi,tbq,tbo->iqo", pt, q_prev, g_all))
+        if q0_val is not None:
+            _accum(q0_val, np.einsum("bi,iqo,bo->bq", pt[0], m_data, g_all[0]))
 
     out._backward = backward
     return out
@@ -417,7 +458,12 @@ def pmm_step(q: Value, p: Value, m) -> Value:
 
 
 class Adam:
-    """Adam over a list of Value parameters; moments live alongside each one."""
+    """Adam over a list of Value parameters, moments kept as flat vectors.
+
+    Parameter ``i`` owns the slice ``[bounds[i], bounds[i + 1])`` of ``m``
+    and ``v``.  A step leaves a parameter whose grad is None untouched,
+    moments included.
+    """
 
     def __init__(self, params, lr=4e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -426,8 +472,10 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self.m = np.zeros(self.bounds[-1])
+        self.v = np.zeros(self.bounds[-1])
+        self._work = np.empty((3, self.bounds[-1]))  # grads, update, denominator
 
     def zero_grad(self):
         for p in self.params:
@@ -436,15 +484,45 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**t)
-            v_hat = self.v[i] / (1.0 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        live = [i for i, p in enumerate(self.params) if p.grad is not None]
+        if not live:
+            return
+        grads = [self.params[i].grad.ravel() for i in live]
+        if len(live) == len(self.params):
+            sel = None
+            g, upd, den = self._work
+            np.concatenate(grads, out=g)
+            m, v = self.m, self.v
+        else:
+            sel = np.concatenate([np.arange(self.bounds[i], self.bounds[i + 1]) for i in live])
+            g = np.concatenate(grads)
+            upd, den = np.empty_like(g), np.empty_like(g)
+            m, v = self.m[sel], self.v[sel]
+        # The textbook update, operation for operation, in place: bits match
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        # upd = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=upd)
+        m += upd
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=upd)
+        upd *= g
+        v += upd
+        if sel is not None:
+            self.m[sel] = m
+            self.v[sel] = v
+        np.divide(m, 1.0 - self.beta1**t, out=upd)
+        upd *= self.lr
+        np.divide(v, 1.0 - self.beta2**t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        upd /= den
+        a = 0
+        for i in live:
+            p = self.params[i]
+            b = a + p.data.size
+            p.data -= upd[a:b].reshape(p.data.shape)
+            a = b
 
 
 def clip_grad_norm(params, max_norm: float) -> float:

@@ -59,6 +59,12 @@ class GridConfig:
             raise InputError("start cell out of bounds")
         if self.start in set(cells):
             raise InputError("start cell must be empty")
+        # label() runs on every env step: a [y][x] table of symbol indices
+        items = self.item_map
+        symbols = [[items.get((x, y), self.empty_symbol) for x in range(self.width)]
+                   for y in range(self.height)]
+        labels = tuple(tuple(self.alphabet.index(s) for s in row) for row in symbols)
+        object.__setattr__(self, "_labels", labels)
 
     @property
     def item_map(self) -> dict[tuple[int, int], str]:
@@ -69,7 +75,7 @@ class GridConfig:
         x, y = cell
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise InputError(f"cell {cell} out of bounds")
-        return self.alphabet.index(self.item_map.get((x, y), self.empty_symbol))
+        return self._labels[y][x]
 
     def encode(self, cell: tuple[int, int]) -> np.ndarray:
         """Normalized (x, y) in the unit square."""
@@ -344,7 +350,9 @@ def traces_to_csv(traces) -> str:
     return "\n".join(lines) + "\n"
 
 
-def traces_from_csv(text: str, config: GridConfig) -> list[EpisodeTrace]:
+def traces_from_csv(text: str, config: GridConfig,
+                    n_classes: int | None = None) -> list[EpisodeTrace]:
+    """Parse :func:`traces_to_csv` output; ``n_classes`` bounds ``reward_class``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "episode,t,x,y,reward_class,scalar_reward":
         raise MachineFormatError("bad trace CSV header")
@@ -353,8 +361,15 @@ def traces_from_csv(text: str, config: GridConfig) -> list[EpisodeTrace]:
         parts = ln.split(",")
         if len(parts) != 6:
             raise MachineFormatError(f"bad trace row: {ln!r}")
-        ep, t, x, y, cls = (int(v) for v in parts[:5])
-        episodes.setdefault(ep, []).append((t, (x, y), cls, float(parts[5])))
+        try:
+            ep, t, x, y, cls = (int(v) for v in parts[:5])
+            reward = float(parts[5])
+        except ValueError as exc:
+            raise MachineFormatError(f"bad trace row: {ln!r}") from exc
+        if cls < 0 or (n_classes is not None and cls >= n_classes):
+            limit = "" if n_classes is None else f" (the machine has {n_classes} classes)"
+            raise InputError(f"episode {ep}, t {t}: reward_class {cls} out of range{limit}")
+        episodes.setdefault(ep, []).append((t, (x, y), cls, reward))
     traces = []
     for ep in sorted(episodes):
         rows = sorted(episodes[ep])

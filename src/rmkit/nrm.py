@@ -120,18 +120,9 @@ def forward(params: ProbMachineParams, grounder, x_s) -> ProbTraces:
     x_s = np.asarray(x_s, dtype=np.float64)
     if x_s.ndim != 2 or x_s.shape[0] == 0:
         raise InputError("x_s must be a nonempty [T, d] state sequence")
-    mt_eff, mr_eff = params.machine_tensors()
-    x_pp = grounder(Value(x_s))
-    if x_pp.data.shape[-1] != len(params.alphabet):
-        raise InputError("grounder output width must match the alphabet")
-    q = Value(params.q0)
-    rows = []
-    for t in range(x_s.shape[0]):
-        q = dk.pmm_step(q, dk.take(x_pp, t, axis=0), mt_eff)
-        rows.append(q)
-    x_qp = dk.stack(rows, axis=0)
-    x_rp = dk.matmul(x_qp, mr_eff if isinstance(mr_eff, Value) else Value(mr_eff))
-    return ProbTraces(x_pp, x_qp, x_rp)
+    traces = forward_batch(params, grounder, x_s[np.newaxis])
+    return ProbTraces(*(dk.reshape(v, v.data.shape[1:])
+                        for v in (traces.symbols, traces.states, traces.rewards)))
 
 
 def forward_batch(params: ProbMachineParams, grounder, xs, training: bool = False) -> ProbTraces:
@@ -143,13 +134,11 @@ def forward_batch(params: ProbMachineParams, grounder, xs, training: bool = Fals
     mt_eff, mr_eff = params.machine_tensors()
     flat = grounder(Value(xs.reshape(b * t_len, d)), training=training)
     k = flat.data.shape[-1]
+    if k != len(params.alphabet):
+        raise InputError("grounder output width must match the alphabet")
     x_pp = dk.reshape(flat, (b, t_len, k))
-    q = Value(np.broadcast_to(params.q0, (b, params.n_states)).copy())
-    rows = []
-    for t in range(t_len):
-        q = dk.pmm_step(q, dk.take(x_pp, t, axis=1), mt_eff)
-        rows.append(q)
-    x_qp = dk.stack(rows, axis=1)
+    q0 = np.broadcast_to(params.q0, (b, params.n_states)).copy()
+    x_qp = dk.pmm_scan(q0, x_pp, mt_eff)
     r = len(params.output_classes)
     flat_r = dk.matmul(dk.reshape(x_qp, (b * t_len, params.n_states)),
                        mr_eff if isinstance(mr_eff, Value) else Value(mr_eff))

@@ -62,6 +62,16 @@ class TrainConfig:
                    self.window, self.grad_clip)
         if any(v <= 0 for v in numeric):
             raise InputError("training settings must all be positive")
+        if self.buffer_recent < 0 or self.buffer_elite < 0:
+            raise InputError("buffer_recent and buffer_elite must not be negative")
+        if self.buffer_recent + self.buffer_elite == 0:
+            raise InputError("buffer_recent + buffer_elite must be at least 1")
+        if self.grounder_hidden < 1:
+            raise InputError("grounder_hidden must be at least 1")
+        if not self.grounder_lr > 0:
+            raise InputError("grounder_lr must be positive")
+        if not self.seeds:
+            raise InputError("seeds must name at least one seed")
 
 
 def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
@@ -356,6 +366,8 @@ def run_single(task, agent_kind: str, config: TrainConfig, grid_config: GridConf
 
 def smoothed(values, window: int) -> np.ndarray:
     """Trailing-window running mean (window shrinks at the start)."""
+    if window < 1:
+        raise InputError(f"smoothing window must be at least 1, got {window}")
     values = np.asarray(values, dtype=np.float64)
     out = np.empty_like(values)
     csum = np.cumsum(values)

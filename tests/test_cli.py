@@ -118,6 +118,21 @@ class TestGround:
         assert main(["ground", "--machine", str(task1_machine_file), "--traces",
                      str(trace_file), "--out", str(tmp_path / "g.npz")]) == 2
 
+    @pytest.mark.parametrize("bad_class", ["9", "-1"])
+    def test_out_of_range_reward_class_is_data_error(self, tmp_path, task1_machine_file,
+                                                     task_machines, capsys, bad_class):
+        traces = synth_dataset(DEFAULT_CONFIG, task_machines[1], policy="mixture", n=4, seed=2)
+        lines = traces_to_csv(traces).splitlines()
+        ep, t, x, y, _, reward = lines[5].split(",")
+        lines[5] = ",".join([ep, t, x, y, bad_class, reward])
+        trace_file = tmp_path / "traces.csv"
+        trace_file.write_text("\n".join(lines) + "\n")
+        assert main(["ground", "--machine", str(task1_machine_file), "--traces",
+                     str(trace_file), "--epochs", "1", "--out", str(tmp_path / "g.npz")]) == 2
+        err = capsys.readouterr().err
+        assert f"episode {ep}, t {t}: reward_class {bad_class}" in err
+        assert not (tmp_path / "g.npz").exists()
+
 
 class TestTrain:
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
@@ -170,6 +185,14 @@ class TestPlot:
         csv = tmp_path / "empty.csv"
         csv.write_text("")
         assert main(["plot", str(csv), "--out", str(tmp_path / "p.svg")]) == 2
+
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_below_one_is_usage_error(self, tmp_path, window):
+        csv = tmp_path / "r.csv"
+        csv.write_text("episode,return\n0,0.0\n1,50.0\n")
+        out = tmp_path / "p.svg"
+        assert main(["plot", str(csv), "--window", window, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_golden_svg(self, tmp_path):
         csv = tmp_path / "r.csv"

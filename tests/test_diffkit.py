@@ -13,6 +13,7 @@ from rmkit.diffkit import (
     log_softmax,
     matmul,
     mul,
+    pmm_scan,
     pmm_step,
     relu,
     reshape,
@@ -114,12 +115,66 @@ class TestGradients:
 
         check_op(build, (3,), (2,))
 
+    def test_pmm_scan_constant_machine(self):
+        m_const = np.random.default_rng(9).dirichlet(np.ones(3), size=(2, 3))
+        q0 = np.random.default_rng(10).dirichlet(np.ones(3), size=4)
+        weights = np.random.default_rng(11).standard_normal((4, 5, 3))
+
+        def build(p):
+            return vsum(mul(pmm_scan(q0, softmax(p), m_const), weights))
+
+        check_op(build, (4, 5, 2))
+
+    def test_pmm_scan_learnable_everything(self):
+        weights = np.random.default_rng(12).standard_normal((3, 4, 3))
+
+        def build(q, p, m):
+            return vsum(mul(pmm_scan(softmax(q), softmax(p), softmax(m, axis=-1)), weights))
+
+        check_op(build, (3, 3), (3, 4, 2), (2, 3, 3))
+
     def test_dropout_gradient(self):
         # re-seeding inside the build keeps the mask fixed across evaluations
         def build(a):
             return vsum(mul(dropout(a, 0.4, np.random.default_rng(77)), a))
 
         check_op(build, (4, 5))
+
+
+class TestPmmScan:
+    def test_matches_chained_steps(self):
+        rng = np.random.default_rng(13)
+        q0 = rng.dirichlet(np.ones(4), size=3)
+        p = rng.dirichlet(np.ones(2), size=(3, 6))
+        m = rng.dirichlet(np.ones(4), size=(2, 4))
+        weights = rng.standard_normal((3, 6, 4))
+        scan_leaves = [Value(q0.copy()), Value(p.copy()), Value(m.copy())]
+        scan = pmm_scan(*scan_leaves)
+        vsum(mul(scan, weights)).backward()
+        step_leaves = [Value(q0.copy()), Value(p.copy()), Value(m.copy())]
+        q, rows = step_leaves[0], []
+        for t in range(6):
+            q = pmm_step(q, take(step_leaves[1], t, axis=1), step_leaves[2])
+            rows.append(q)
+        chained = stack(rows, axis=1)
+        vsum(mul(chained, weights)).backward()
+        # the same einsum per step, forward and along the adjoint chain; only
+        # the machine gradient sums its T terms in another order
+        assert np.array_equal(scan.data, chained.data)
+        assert np.array_equal(scan_leaves[0].grad, step_leaves[0].grad)
+        assert np.array_equal(scan_leaves[1].grad, step_leaves[1].grad)
+        assert np.allclose(scan_leaves[2].grad, step_leaves[2].grad, rtol=1e-12, atol=1e-15)
+
+    def test_shape_mismatch(self):
+        m = np.ones((2, 3, 3)) / 3.0
+        with pytest.raises(InputError):
+            pmm_scan(np.ones((4, 3)), np.ones((4, 2)), m)
+        with pytest.raises(InputError):
+            pmm_scan(np.ones((2, 3)), np.ones((4, 5, 2)), m)
+        with pytest.raises(InputError):
+            pmm_scan(np.ones((4, 3)), np.ones((4, 5, 3)), m)
+        with pytest.raises(InputError):
+            pmm_scan(np.ones((4, 3)), np.ones((4, 0, 2)), m)
 
 
 class TestForwardValues:
@@ -168,6 +223,15 @@ class TestForwardValues:
         y.backward()
         assert np.isclose(x.grad, 5.0)
 
+    def test_backward_releases_graph(self):
+        x = Value(np.array([0.5, -1.0, 2.0]))
+        h = tanh(x)
+        loss = vsum(mul(h, h))
+        loss.backward()
+        assert np.allclose(x.grad, 2.0 * np.tanh(x.data) * (1.0 - np.tanh(x.data) ** 2))
+        for node in (loss, h):
+            assert node._parents == () and node._backward is None
+
     def test_backward_deterministic(self):
         def run():
             rng = np.random.default_rng(11)
@@ -208,6 +272,35 @@ class TestAdam:
             loss.backward()
             opt.step()
         assert np.abs(w.data).max() < 1e-3
+
+    def test_matches_per_tensor_reference_bitwise(self):
+        rng = np.random.default_rng(21)
+        shapes = [(3, 4), (4,), (), (2, 2, 3)]
+        init = [rng.standard_normal(s) for s in shapes]
+        params = [Value(a.copy()) for a in init]
+        ref = [a.copy() for a in init]
+        ref_m = [np.zeros_like(a) for a in init]
+        ref_v = [np.zeros_like(a) for a in init]
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 21):
+            opt.zero_grad()
+            for i, p in enumerate(params):
+                # parameter 1 never gets a gradient, parameter 3 only on odd steps
+                if i == 1 or (i == 3 and t % 2 == 0):
+                    continue
+                p.grad = rng.standard_normal(shapes[i])
+                g = p.grad
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
+                m_hat = ref_m[i] / (1.0 - b1**t)
+                v_hat = ref_v[i] / (1.0 - b2**t)
+                ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step()
+            for p, r in zip(params, ref):
+                assert np.array_equal(p.data, r)
+        assert opt.step_count == 20
+        assert np.array_equal(params[1].data, init[1])
 
     def test_clip_grad_norm(self):
         p = Value(np.zeros(3))

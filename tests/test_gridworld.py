@@ -41,6 +41,19 @@ class TestLabel:
     def test_out_of_bounds(self):
         with pytest.raises(InputError):
             DEFAULT_CONFIG.label((9, 0))
+        with pytest.raises(InputError):
+            DEFAULT_CONFIG.label((0, -1))
+
+    @pytest.mark.parametrize("config", [
+        DEFAULT_CONFIG,
+        parse_map("gridmap v1\n..a...\nS...d.\n.c....\n...b..\n"),
+    ])
+    def test_table_matches_item_lookup_on_every_cell(self, config):
+        items = config.item_map
+        for cell in config.all_cells():
+            expected = config.alphabet.index(items.get(cell, config.empty_symbol))
+            assert config.label(cell) == expected
+            assert config.label(np.array(cell, dtype=np.int64)) == expected
 
 
 class TestConfigValidation:
@@ -209,6 +222,23 @@ class TestTextFormats:
             assert np.array_equal(t1.reward_classes, t2.reward_classes)
             assert np.array_equal(t1.scalar_rewards, t2.scalar_rewards)
             assert np.allclose(t1.states, t2.states)
+
+    def test_trace_csv_class_bound(self, task_machines):
+        traces = synth_dataset(DEFAULT_CONFIG, task_machines[1], policy="random", n=2, seed=13)
+        text = traces_to_csv(traces)
+        n = len(task_machines[1].output_classes)
+        assert len(traces_from_csv(text, DEFAULT_CONFIG, n_classes=n)) == 2
+        lines = text.splitlines()
+        parts = lines[3].split(",")
+        parts[4] = str(n)
+        lines[3] = ",".join(parts)
+        with pytest.raises(InputError, match=f"episode {parts[0]}, t {parts[1]}"):
+            traces_from_csv("\n".join(lines), DEFAULT_CONFIG, n_classes=n)
+
+    def test_trace_csv_non_numeric_field(self):
+        text = "episode,t,x,y,reward_class,scalar_reward\n0,0,1,x,0,0.0\n"
+        with pytest.raises(MachineFormatError):
+            traces_from_csv(text, DEFAULT_CONFIG)
 
     def test_trace_csv_bad_header(self):
         with pytest.raises(MachineFormatError):

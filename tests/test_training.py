@@ -37,6 +37,23 @@ class TestConfig:
         with pytest.raises(InputError):
             TrainConfig(episodes=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"buffer_recent": -3},
+        {"buffer_elite": -1},
+        {"buffer_recent": 0, "buffer_elite": 0},
+        {"grounder_hidden": 0},
+        {"grounder_lr": 0.0},
+        {"grounder_lr": -1e-3},
+        {"grounder_lr": float("nan")},
+        {"seeds": ()},
+    ])
+    def test_rejects_invalid_grounder_and_seed_settings(self, bad):
+        with pytest.raises(InputError):
+            TrainConfig(**bad)
+
+    def test_one_empty_buffer_is_allowed(self):
+        assert TrainConfig(buffer_recent=0).buffer_elite == 60
+
 
 class TestAugmentedState:
     def test_rm_fresh_episode_appends_initial_onehot(self, task_machines):
@@ -191,6 +208,11 @@ class TestSmoothing:
         values = [0.0, 10.0, 20.0, 30.0]
         sm = smoothed(values, window=2)
         assert np.allclose(sm, [0.0, 5.0, 15.0, 25.0])
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(InputError):
+            smoothed([1.0, 2.0], window)
 
     def test_summary_csv_shape(self):
         curves = {0: [1.0, 2.0, 3.0], 1: [3.0, 2.0, 1.0]}
