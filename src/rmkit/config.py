@@ -32,14 +32,28 @@ _TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig)}
 _GRID_SIMPLE_KEYS = ("width", "height", "t_max", "empty_symbol")
 
 
-def _parse_scalar(raw: str, like) -> object:
+def _parse_scalar(key: str, raw: str, like) -> object:
     if isinstance(like, bool):
         return raw.lower() in ("1", "true", "yes")
     if isinstance(like, int):
-        return int(raw)
+        return _number(key, raw, int)
     if isinstance(like, float):
-        return float(raw)
+        return _number(key, raw, float)
     return raw
+
+
+def _number(key: str, raw: str, kind):
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        raise MachineFormatError(f"bad value for {key!r}: {raw!r} (want {kind.__name__})") from exc
+
+
+def _int_tuple(key: str, raw: str, size: int | None = None) -> tuple[int, ...]:
+    values = tuple(_number(key, v, int) for v in raw.split(","))
+    if size is not None and len(values) != size:
+        raise MachineFormatError(f"bad value for {key!r}: {raw!r} (want {size} integers)")
+    return values
 
 
 def _parse_items(raw: str):
@@ -89,19 +103,18 @@ def parse_experiment_config(text: str) -> dict:
             raise MachineFormatError(f"unknown [train] key {key!r}")
         current = getattr(train, key)
         if key == "seeds":
-            value = tuple(int(v) for v in raw.split(","))
+            value = _int_tuple(key, raw)
         else:
-            value = _parse_scalar(raw, current)
+            value = _parse_scalar(key, raw, current)
         train = replace(train, **{key: value})
 
     grid = GridConfig()
     grid_updates = {}
     for key, raw in grid_kv.items():
         if key in _GRID_SIMPLE_KEYS:
-            grid_updates[key] = _parse_scalar(raw, getattr(grid, key))
+            grid_updates[key] = _parse_scalar(key, raw, getattr(grid, key))
         elif key == "start":
-            x, y = raw.split(",")
-            grid_updates["start"] = (int(x), int(y))
+            grid_updates["start"] = _int_tuple(key, raw, size=2)
         elif key == "items":
             grid_updates["items"] = _parse_items(raw)
         elif key == "alphabet":

@@ -12,6 +12,7 @@ non-Markovian in the observation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,7 +357,7 @@ def traces_from_csv(text: str, config: GridConfig,
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "episode,t,x,y,reward_class,scalar_reward":
         raise MachineFormatError("bad trace CSV header")
-    episodes: dict[int, list] = {}
+    episodes: dict[int, dict] = {}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 6:
@@ -369,10 +370,15 @@ def traces_from_csv(text: str, config: GridConfig,
         if cls < 0 or (n_classes is not None and cls >= n_classes):
             limit = "" if n_classes is None else f" (the machine has {n_classes} classes)"
             raise InputError(f"episode {ep}, t {t}: reward_class {cls} out of range{limit}")
-        episodes.setdefault(ep, []).append((t, (x, y), cls, reward))
+        if not math.isfinite(reward):
+            raise MachineFormatError(f"episode {ep}, t {t}: scalar_reward {parts[5]!r} is not finite")
+        rows = episodes.setdefault(ep, {})
+        if t in rows:
+            raise MachineFormatError(f"episode {ep}, t {t}: duplicate row")
+        rows[t] = ((x, y), cls, reward)
     traces = []
     for ep in sorted(episodes):
-        rows = sorted(episodes[ep])
+        rows = [(t, *row) for t, row in sorted(episodes[ep].items())]
         cells = np.array([cell for _, cell, _, _ in rows], dtype=np.int64)
         traces.append(
             EpisodeTrace(

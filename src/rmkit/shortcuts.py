@@ -8,13 +8,16 @@ can at best be correct up to one of them.
 
 Three routes are implemented:
 
-* :func:`find_urs` - the pruned search.  Candidate renamings keep a
-  frontier of (state-under-x, state-under-alpha(x)) pairs, deduplicated per
-  candidate over its lifetime; extensions are skipped when both sides sit
-  in absorbing states (suffixes can never diverge) or when a symbol
+* :func:`find_urs` - the pruned search.  Level 1 (every length-1 string)
+  splits by symbol: ``alpha`` survives it exactly when each ``alpha(p)``
+  leads from the initial state to a state with the same output as ``p``
+  does.  So only the Cartesian product of those per-symbol image sets is
+  built, never the |P|^|P| table.  Each product row then keeps a frontier
+  of (state-under-x, state-under-alpha(x)) pairs, deduplicated per row
+  over its lifetime; extensions are skipped when both sides sit in
+  absorbing states (suffixes can never diverge) or when a symbol
   self-loops both sides (pumping adds nothing).  The frontiers of all
-  |P|^|P| candidates advance together as boolean arrays, one scatter per
-  symbol value, so the search is a few milliseconds even at 3125 maps.
+  rows advance together as boolean arrays, one scatter per level.
 * :func:`urs_oracle_exact` - per-candidate machine equivalence via
   synchronized-product reachability; the ground truth.
 * :func:`urs_oracle_bounded` - string-semantics brute force over all
@@ -28,6 +31,7 @@ Three routes are implemented:
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,6 +53,7 @@ __all__ = [
     "urs_oracle_bounded",
     "UrsReport",
     "report_to_csv",
+    "iter_report_csv",
 ]
 
 
@@ -77,20 +82,6 @@ def enumerate_maps(n_symbols: int) -> Iterator[tuple[int, ...]]:
             yield alpha
 
 
-def _candidate_array(n_symbols: int) -> np.ndarray:
-    """enumerate_maps as an [n^n, n] array, built without the generator."""
-    k = n_symbols
-    total = k**k
-    digits = np.empty((total, k), dtype=np.int64)
-    vals = np.arange(total)
-    for p in range(k - 1, -1, -1):
-        digits[:, p] = vals % k
-        vals //= k
-    ident_row = int(sum(p * k ** (k - 1 - p) for p in range(k)))
-    order = np.concatenate(([ident_row], np.arange(ident_row), np.arange(ident_row + 1, total)))
-    return digits[order]
-
-
 def is_working(m: MooreMachine, alpha: Sequence[int], dataset) -> bool:
     """True iff the machine's output trace on x matches the trace on alpha(x) for every x."""
     for x in dataset:
@@ -105,13 +96,18 @@ def is_working(m: MooreMachine, alpha: Sequence[int], dataset) -> bool:
 
 @dataclass
 class UrsReport:
-    """Search outcome: surviving renamings plus per-candidate diagnostics."""
+    """Search outcome: surviving renamings plus per-candidate diagnostics.
+
+    The per-candidate arrays cover only the renamings that survive level 1,
+    the product of ``images``; every other renaming died at level 1.
+    """
 
     alphabet: tuple[str, ...]
-    candidates: np.ndarray  # [N, P] int, enumeration order (identity first)
-    survived: np.ndarray  # [N] bool
-    iterations: np.ndarray  # [N] int, level at which each candidate resolved
-    peak_pairs: np.ndarray  # [N] int, largest frontier reached per candidate
+    images: tuple[tuple[int, ...], ...]  # images[p]: the alpha(p) that pass level 1, ascending
+    candidates: np.ndarray  # [N, P] int, the level-1 product (identity first, then lexicographic)
+    survived: np.ndarray  # [N] bool, per product row
+    iterations: np.ndarray  # [N] int, level at which each product row resolved
+    peak_pairs: np.ndarray  # [N] int, largest frontier reached per product row
     levels: int  # outer-loop iterations of the search
     timings: dict[str, float]
 
@@ -127,7 +123,7 @@ class UrsReport:
 
 
 def _machine_tables(m: MooreMachine):
-    n, k = m.n_states, len(m.alphabet)
+    n = m.n_states
     delta = np.array(m.transitions, dtype=np.int64)  # [Q, P]
     out = np.array(m.outputs, dtype=np.int64)
     pairs = n * n
@@ -138,18 +134,38 @@ def _machine_tables(m: MooreMachine):
     absorbing[list(absorbing_states(m))] = True
     abs_pair = absorbing[q1] & absorbing[q2]
     # target[p, r, j]: pair reached from pair j by reading p on the left and r on the right
-    target = np.empty((k, k, pairs), dtype=np.int64)
-    for p in range(k):
-        for r in range(k):
-            target[p, r] = delta[q1, p] * n + delta[q2, r]
-    self_loop = target == np.arange(pairs)[np.newaxis, np.newaxis, :]
-    return delta, bad, abs_pair, target, self_loop
+    target = (delta[q1].T * n)[:, np.newaxis, :] + delta[q2].T[np.newaxis, :, :]
+    return delta, bad, abs_pair, target
+
+
+def _level1_images(m: MooreMachine) -> tuple[tuple[int, ...], ...]:
+    """Per symbol p, every r whose first step matches p's output: alpha(p) must be one."""
+    first = [m.outputs[m.transitions[m.initial][p]] for p in range(len(m.alphabet))]
+    return tuple(tuple(r for r, o in enumerate(first) if o == first[p]) for p in range(len(first)))
+
+
+def _product_array(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The Cartesian product of ``images`` as rows: the identity first, the rest lexicographic."""
+    sizes = [len(a) for a in images]
+    total = math.prod(sizes)
+    rows = np.empty((total, len(images)), dtype=np.int64)
+    inner = total
+    for p, a in enumerate(images):
+        inner //= sizes[p]
+        # column p cycles through a, each value repeated over the later columns' span
+        rows.reshape(-1, sizes[p], inner, len(images))[:, :, :, p] = np.array(a)[:, np.newaxis]
+    ident_row = int(np.ravel_multi_index([a.index(p) for p, a in enumerate(images)], sizes))
+    order = np.concatenate(([ident_row], np.arange(ident_row), np.arange(ident_row + 1, total)))
+    return rows[order]
+
+
+_BLOCK_ROWS = 1 << 16  # rows advanced per scatter in the level loop
 
 
 def _search_chunk(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
                   skip_selfloop: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     n, k = m.n_states, len(m.alphabet)
-    delta, bad, abs_pair, target, self_loop = _machine_tables(m)
+    delta, bad, abs_pair, target = _machine_tables(m)
     big_n = cand.shape[0]
     pairs = n * n
     bad_cols = np.flatnonzero(bad)
@@ -161,9 +177,7 @@ def _search_chunk(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
     # level 1: every length-1 string
     q0 = m.initial
     frontier = np.zeros((big_n, pairs), dtype=bool)
-    rows = np.arange(big_n)
-    for p in range(k):
-        frontier[rows, delta[q0, p] * n + delta[q0, cand[:, p]]] = True
+    frontier[np.arange(big_n)[:, np.newaxis], delta[q0] * n + delta[q0][cand]] = True
     peak[:] = np.count_nonzero(frontier, axis=1)
     died = frontier[:, bad_cols].any(axis=1)
     alive &= ~died
@@ -177,17 +191,24 @@ def _search_chunk(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
     ca = cand[act]
     level = 1
     cap = pairs + 1
+    symbols = np.arange(k)
     while act.size:
         level += 1
         if level > cap:
             raise RuntimeError("URS search exceeded the product-space iteration cap")
         ext = fr & ~abs_pair[np.newaxis, :] if skip_absorbing else fr
+        # every frontier entry (row r, pair c) read with every symbol at once,
+        # in blocks of rows that bound the [entries, P] temporaries
         nxt = np.zeros_like(fr)
-        for p in range(k):
-            targ = target[p][ca[:, p]]
-            src = ext & ~self_loop[p][ca[:, p]] if skip_selfloop else ext
-            r, c = np.nonzero(src)
-            nxt[r, targ[r, c]] = True
+        for lo in range(0, len(ca), _BLOCK_ROWS):
+            r, c = np.nonzero(ext[lo:lo + _BLOCK_ROWS])
+            r += lo
+            targ = target[symbols, ca[r], c[:, np.newaxis]]  # [E, P]
+            r = np.broadcast_to(r[:, np.newaxis], targ.shape)
+            if skip_selfloop:
+                moved = targ != c[:, np.newaxis]
+                r, targ = r[moved], targ[moved]
+            nxt[r, targ] = True
         new = nxt & ~vis
         peak[act] = np.maximum(peak[act], np.count_nonzero(new, axis=1))
         died_l = new[:, bad_cols].any(axis=1)
@@ -213,8 +234,8 @@ def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool =
     toggled off for the pruning-neutrality check.
     """
     t0 = time.perf_counter()
-    k = len(m.alphabet)
-    cand = _candidate_array(k)
+    images = _level1_images(m)
+    cand = _product_array(images)
     t_init = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -233,6 +254,7 @@ def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool =
 
     return UrsReport(
         alphabet=m.alphabet,
+        images=images,
         candidates=cand,
         survived=alive,
         iterations=iterations,
@@ -307,13 +329,35 @@ def urs_oracle_bounded(m: MooreMachine, max_len: int) -> frozenset[tuple[int, ..
 def report_to_csv(report: UrsReport) -> str:
     """Deterministic CSV: one row per renaming (lexicographic), then a TOTAL row.
 
+    A renaming outside the level-1 product is written as died at level 1.
     Wall-times are deliberately excluded; identical inputs must yield
     bit-identical files.
     """
+    return "".join(iter_report_csv(report))
+
+
+def iter_report_csv(report: UrsReport) -> Iterator[str]:
+    """The text of :func:`report_to_csv` in blocks, one per leading-symbols prefix."""
+    names, k = report.alphabet, len(report.alphabet)
+    # the separator of format_map is fixed unless name lengths are mixed;
+    # then each row is formatted whole
+    short = {len(n) == 1 for n in names}
+    sep = "" if short == {True} else ","
+    n_tail = min(k, 3) if len(short) == 1 else k
+    tails = [format_map(t, names) for t in itertools.product(range(k), repeat=n_tail)]
+    tail_in = [all(r in report.images[k - n_tail + j] for j, r in enumerate(t))
+               for t in itertools.product(range(k), repeat=n_tail)]
+    dead = [""] + [f"{text},0,1\n" for text in tails]
+    # product rows in lexicographic order, met in that order by the walk below
     order = np.lexsort(report.candidates.T[::-1])
-    lines = ["alpha,survived,iterations"]
-    for i in order:
-        alpha = format_map(report.candidates[i], report.alphabet)
-        lines.append(f"{alpha},{int(report.survived[i])},{int(report.iterations[i])}")
-    lines.append(f"TOTAL,{report.count},{report.levels}")
-    return "\n".join(lines) + "\n"
+    status = (f"{s},{i}" for s, i in zip(report.survived[order].astype(np.int64).tolist(),
+                                         report.iterations[order].tolist()))
+    yield "alpha,survived,iterations\n"
+    for head in itertools.product(range(k), repeat=k - n_tail):
+        lead = format_map(head, names) + sep if head else ""
+        if all(r in report.images[p] for p, r in enumerate(head)):
+            yield "".join(f"{lead}{text},{next(status) if inside else '0,1'}\n"
+                          for text, inside in zip(tails, tail_in))
+        else:  # a prefix outside the product: every completion died at level 1
+            yield lead.join(dead)
+    yield f"TOTAL,{report.count},{report.levels}\n"

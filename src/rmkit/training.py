@@ -60,16 +60,16 @@ class TrainConfig:
         numeric = (self.episodes, self.n_step, self.lr, self.coef_actor, self.coef_critic,
                    self.coef_entropy, self.grounder_period, self.grounder_epochs, self.gamma,
                    self.window, self.grad_clip)
-        if any(v <= 0 for v in numeric):
-            raise InputError("training settings must all be positive")
+        if not all(0 < v < np.inf for v in numeric):
+            raise InputError("training settings must all be positive and finite")
         if self.buffer_recent < 0 or self.buffer_elite < 0:
             raise InputError("buffer_recent and buffer_elite must not be negative")
         if self.buffer_recent + self.buffer_elite == 0:
             raise InputError("buffer_recent + buffer_elite must be at least 1")
         if self.grounder_hidden < 1:
             raise InputError("grounder_hidden must be at least 1")
-        if not self.grounder_lr > 0:
-            raise InputError("grounder_lr must be positive")
+        if not 0 < self.grounder_lr < np.inf:
+            raise InputError("grounder_lr must be positive and finite")
         if not self.seeds:
             raise InputError("seeds must name at least one seed")
 

@@ -6,6 +6,7 @@ import itertools
 
 import numpy as np
 
+from rmkit import shortcuts
 from rmkit.automata import MooreMachine, minimize, run_string
 from rmkit.formulas import TASK_ALPHABET, TASK_FORMULAS
 
@@ -91,3 +92,20 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rtol=1e-4):
     scale = np.maximum(np.abs(numeric), 1.0)
     err = np.abs(analytic - numeric) / scale
     assert err.max() <= rtol, f"gradient mismatch: max rel err {err.max():.2e}"
+
+
+def full_table_urs(m: MooreMachine) -> tuple[list[tuple[int, ...]], str]:
+    """Survivors and report CSV from the level loop run on every renaming.
+
+    The reference for find_urs, which searches only the level-1 product:
+    here all |P|^|P| rows enter level 1, and the CSV lists each in
+    lexicographic order with its own verdict.
+    """
+    cand = np.array(list(shortcuts.enumerate_maps(len(m.alphabet))), dtype=np.int64)
+    alive, iterations, _, levels = shortcuts._search_chunk(m, cand, True, True)
+    survivors = [tuple(int(v) for v in row) for row in cand[alive]]
+    lines = ["alpha,survived,iterations"]
+    for i in np.lexsort(cand.T[::-1]):
+        lines.append(f"{shortcuts.format_map(cand[i], m.alphabet)},{int(alive[i])},{int(iterations[i])}")
+    lines.append(f"TOTAL,{len(survivors)},{levels}")
+    return survivors, "\n".join(lines) + "\n"

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmkit import automata, gridworld
 from rmkit.cli import main
@@ -134,6 +139,20 @@ class TestGround:
         assert not (tmp_path / "g.npz").exists()
 
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1,0,0,0.0\n0,0,1,0,0,0.0\n", "episode 0, t 0: duplicate row"),
+        ("0,0,1,0,0,0.0\n0,1,2,0,0,nan\n", "episode 0, t 1: scalar_reward 'nan' is not finite"),
+    ])
+    def test_bad_trace_rows_are_data_errors(self, tmp_path, task1_machine_file, capsys,
+                                            rows, message):
+        trace_file = tmp_path / "traces.csv"
+        trace_file.write_text("episode,t,x,y,reward_class,scalar_reward\n" + rows)
+        assert main(["ground", "--machine", str(task1_machine_file), "--traces",
+                     str(trace_file), "--epochs", "1", "--out", str(tmp_path / "g.npz")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "g.npz").exists()
+
+
 class TestTrain:
     def test_writes_outputs_and_is_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -157,6 +176,23 @@ class TestTrain:
 
     def test_missing_task_is_usage_error(self, tmp_path):
         assert main(["train", "--agent", "rm", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("body, message", [
+        ("[train]\nepisodes = abc", "bad value for 'episodes': 'abc'"),
+        ("[train]\nseeds =", "bad value for 'seeds': ''"),
+        ("[train]\nseeds = 0,x", "bad value for 'seeds': 'x'"),
+        ("[train]\nlr = fast", "bad value for 'lr': 'fast'"),
+        ("[train]\nlr = nan", "training settings must all be positive and finite"),
+        ("[grid]\nstart = 1", "bad value for 'start': '1'"),
+        ("[grid]\nstart = 1,2,3", "bad value for 'start': '1,2,3'"),
+        ("[grid]\nwidth = 2.5", "bad value for 'width': '2.5'"),
+    ])
+    def test_bad_config_numbers_are_data_errors(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"experiment v1\ntask = 1\nagent = rm\n{body}\n")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPlot:
@@ -235,3 +271,61 @@ class TestExperimentConfig:
     def test_comments_ignored(self):
         parsed = parse_experiment_config("experiment v1\n# a comment\ntask = 3\n")
         assert parsed["task"] == "3"
+
+
+# Fuzzing: any text in a config or trace file gives exit 0, 1 or 2, never a traceback.
+# Values are mostly well formed, so that examples get past the first check.
+_bad_tokens = st.sampled_from(["", "abc", "nan", "inf", "1.5", "1,2,3", "x@1,1"])
+_small_ints = st.integers(-1, 6).map(str)
+_config_value = st.one_of(_small_ints, _small_ints, _bad_tokens)
+_train_value = st.one_of(_config_value, st.sampled_from(["0.5", "1e-3", "0.99", "true"]))
+_grid_value = st.one_of(_config_value, st.sampled_from(["1,1", "0,0", "2,4", "a@2,0 b@4,1",
+                                                        "a@9,9", "a@1,1 a@1,1", "a,b,e", "e"]))
+_train_keys = st.sampled_from(["episodes", "seeds", "n_step", "lr", "gamma", "window",
+                               "grounder_period", "grounder_epochs", "grounder_hidden",
+                               "buffer_recent", "buffer_elite", "bogus"])
+_grid_keys = st.sampled_from(["width", "height", "start", "items", "t_max", "alphabet",
+                              "empty_symbol", "bogus"])
+
+
+def _section(name, entries):
+    return [f"[{name}]"] + [f"{k} = {v}" for k, v in entries.items()] if entries else []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(task=st.sampled_from(["1", "4", "9", "F(a)", "G(a)", "F(", ""]),
+       agent=st.sampled_from(["rm", "nrm", "rnn", "dqn", ""]),
+       train=st.dictionaries(_train_keys, _train_value, max_size=4),
+       grid=st.dictionaries(_grid_keys, _grid_value, max_size=3),
+       junk=st.sampled_from(["", "# comment", "no equals", "[misc]", "task = 2"]))
+def test_fuzz_experiment_config(task, agent, train, grid, junk):
+    lines = ["experiment v1", f"task = {task}", f"agent = {agent}", junk,
+             *_section("train", train), *_section("grid", grid)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "exp.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--config", str(cfg), "--episodes", "1", "--seeds", "0",
+                     "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+
+
+_trace_row = st.tuples(
+    st.integers(0, 2), st.integers(-1, 4), st.integers(-1, 5), st.integers(-1, 5),
+    st.integers(-1, 3), st.one_of(st.floats(-50, 50).map(repr), st.sampled_from(["nan", "-inf"])),
+).map(lambda row: ",".join(str(v) for v in row))
+_trace_line = st.one_of(_trace_row, _trace_row, _trace_row,
+                        st.lists(st.one_of(_small_ints, _bad_tokens), min_size=5, max_size=7)
+                        .map(",".join))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rows=st.lists(_trace_line, max_size=8))
+def test_fuzz_trace_csv(rows):
+    machine = compile_formula("F(a) & F(b)", ("a", "b", "c", "d", "e"))
+    with tempfile.TemporaryDirectory() as tmp:
+        mm, traces = Path(tmp) / "m.mm", Path(tmp) / "t.csv"
+        mm.write_text(automata.serialize(machine))
+        traces.write_text("\n".join(["episode,t,x,y,reward_class,scalar_reward", *rows]) + "\n")
+        code = main(["ground", "--machine", str(mm), "--traces", str(traces), "--epochs", "1",
+                     "--hidden", "4", "--out", str(Path(tmp) / "g.npz")])
+        assert code in (0, 1, 2)

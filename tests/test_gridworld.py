@@ -243,3 +243,19 @@ class TestTextFormats:
     def test_trace_csv_bad_header(self):
         with pytest.raises(MachineFormatError):
             traces_from_csv("nope\n", DEFAULT_CONFIG)
+
+    def test_trace_csv_duplicate_row(self):
+        row = "0,0,1,0,0,0.0\n"
+        text = "episode,t,x,y,reward_class,scalar_reward\n" + row + row
+        with pytest.raises(MachineFormatError, match="episode 0, t 0: duplicate row"):
+            traces_from_csv(text, DEFAULT_CONFIG)
+
+    @pytest.mark.parametrize("reward", ["nan", "inf", "-inf"])
+    def test_trace_csv_non_finite_reward(self, reward):
+        text = f"episode,t,x,y,reward_class,scalar_reward\n3,0,1,0,0,0.0\n3,1,2,0,0,{reward}\n"
+        with pytest.raises(MachineFormatError, match="episode 3, t 1: scalar_reward"):
+            traces_from_csv(text, DEFAULT_CONFIG)
+
+    def test_trace_csv_same_t_in_other_episodes(self):
+        text = "episode,t,x,y,reward_class,scalar_reward\n0,0,1,0,0,0.0\n1,0,1,0,0,0.0\n"
+        assert [len(tr.cells) for tr in traces_from_csv(text, DEFAULT_CONFIG)] == [1, 1]

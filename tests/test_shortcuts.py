@@ -3,8 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import TASK_URS_COUNTS, random_machine, random_string, visit_ab_machine
-from rmkit.automata import absorbing_states, final_state, shape_rewards
+from helpers import (
+    TASK_URS_COUNTS,
+    full_table_urs,
+    random_machine,
+    random_string,
+    visit_ab_machine,
+)
+from rmkit.automata import (
+    MooreMachine,
+    absorbing_states,
+    equivalent,
+    final_state,
+    relabel,
+    shape_rewards,
+)
 from rmkit.formulas import compile_formula
 from rmkit.shortcuts import (
     apply_map,
@@ -77,8 +90,8 @@ class TestFindUrs:
 
     def test_matches_exact_oracle_on_random_machines(self):
         rng = np.random.default_rng(41)
-        for _ in range(50):
-            m = random_machine(rng, max_states=5, max_symbols=4)
+        for i in range(50):
+            m = random_machine(rng, max_states=5, max_symbols=5, minimized=i % 2 == 0)
             assert find_urs(m).survivor_set() == urs_oracle_exact(m)
 
     def test_pruning_neutrality(self, task_machines):
@@ -89,7 +102,9 @@ class TestFindUrs:
 
     def test_jobs_partitioning_is_neutral(self, task_machines):
         m = task_machines[1]
-        assert find_urs(m, jobs=2).survivor_set() == find_urs(m).survivor_set()
+        one, two = find_urs(m), find_urs(m, jobs=2)
+        assert two.survivors() == one.survivors()
+        assert report_to_csv(two) == report_to_csv(one)
 
     def test_survivors_form_a_monoid(self, task_machines):
         # closed under composition and containing the identity
@@ -107,6 +122,89 @@ class TestFindUrs:
             assert sorted(alpha[:2]) == [0, 1]
             assert all(alpha[p] >= 2 for p in (2, 3, 4))
         assert len(urs) == 2 * 27
+
+
+def _first_step_machine(rng, k: int, first_outputs) -> MooreMachine:
+    """Random machine whose initial state reaches state p + 1 on symbol p.
+
+    ``first_outputs[p]`` is the output of state p + 1, so it fixes which
+    renamings pass level 1; the other transitions are random.
+    """
+    n = k + 2
+    rows = [tuple(range(1, k + 1))]
+    rows += [tuple(int(rng.integers(0, n)) for _ in range(k)) for _ in range(n - 1)]
+    outputs = (0, *first_outputs, int(rng.integers(0, 2)))
+    classes = tuple(range(max(outputs) + 1))
+    return MooreMachine(tuple("abcdefgh"[:k]), tuple(rows), outputs, classes, 0)
+
+
+class TestLevelOneProduct:
+    def test_all_first_outputs_equal_keeps_the_whole_space(self):
+        rng = np.random.default_rng(61)
+        for k in range(1, 5):
+            m = _first_step_machine(rng, k, [0] * k)
+            report = find_urs(m)
+            assert len(report.candidates) == k**k
+            assert report.survivor_set() == urs_oracle_exact(m)
+
+    def test_distinct_first_outputs_leave_only_the_identity(self):
+        rng = np.random.default_rng(67)
+        for k in range(1, 6):
+            m = _first_step_machine(rng, k, range(1, k + 1))
+            report = find_urs(m)
+            assert report.candidates.tolist() == [list(identity_map(k))]
+            assert report.survivors() == [identity_map(k)]
+            assert report.survivor_set() == urs_oracle_exact(m)
+
+    def test_candidates_are_the_product_identity_first(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            m = random_machine(rng, max_states=5, max_symbols=5)
+            report = find_urs(m)
+            rows = [tuple(r) for r in report.candidates.tolist()]
+            assert rows[0] == identity_map(len(m.alphabet))
+            assert sorted(rows) == sorted(itertools.product(*report.images))
+            assert rows[1:] == sorted(rows[1:])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_full_table_reference(self, seed):
+        rng = np.random.default_rng(73 + seed)
+        for i in range(15):
+            m = random_machine(rng, max_states=5, max_symbols=5, minimized=i % 3 != 0)
+            survivors, csv = full_table_urs(m)
+            report = find_urs(m)
+            assert report.survivors() == survivors
+            assert report_to_csv(report) == csv
+
+    @pytest.mark.parametrize("tid", sorted(TASK_URS_COUNTS))
+    def test_task_report_matches_full_table_reference(self, tid, task_machines):
+        survivors, csv = full_table_urs(task_machines[tid])
+        report = find_urs(task_machines[tid])
+        assert report.survivors() == survivors
+        assert report_to_csv(report) == csv
+
+    def test_mixed_name_lengths_match_full_table_reference(self, compile_formula):
+        for alphabet in (("a", "bb", "c"), ("aa", "bb", "cc", "dd")):
+            m = compile_formula(f"F({alphabet[0]}) & F({alphabet[1]})", alphabet)
+            assert report_to_csv(find_urs(m)) == full_table_urs(m)[1]
+
+    @pytest.mark.parametrize("k", [5, 6, 7])
+    def test_task1_count_formula(self, k, compile_formula):
+        # {a, b} maps onto itself (2 ways); each other symbol maps to any non-a/b symbol
+        m = compile_formula("F(a) & F(b)", tuple("abcdefgh"[:k]))
+        assert find_urs(m).count == 2 * (k - 2) ** (k - 2)
+
+    def test_task1_over_eight_symbols_survivors_are_shortcuts(self, compile_formula):
+        m = compile_formula("F(a) & F(b)", tuple("abcdefgh"))
+        report = find_urs(m)
+        assert report.count == 93312
+        survivors = report.survivors()
+        rng = np.random.default_rng(79)
+        for i in rng.choice(len(survivors), size=20, replace=False):
+            assert equivalent(m, relabel(m, survivors[i]))
+        dead = np.flatnonzero(~report.survived)
+        for i in rng.choice(dead, size=20, replace=False):
+            assert not equivalent(m, relabel(m, tuple(report.candidates[i].tolist())))
 
 
 class TestBoundedOracle:

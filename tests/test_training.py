@@ -45,6 +45,10 @@ class TestConfig:
         {"grounder_lr": 0.0},
         {"grounder_lr": -1e-3},
         {"grounder_lr": float("nan")},
+        {"grounder_lr": float("inf")},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"gamma": float("nan")},
         {"seeds": ()},
     ])
     def test_rejects_invalid_grounder_and_seed_settings(self, bad):
