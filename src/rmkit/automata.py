@@ -295,13 +295,6 @@ def shape_rewards(m: MooreMachine) -> MooreMachine:
     return MooreMachine(m.alphabet, m.transitions, outs, classes, m.initial)
 
 
-def restrict_alphabet(m: MooreMachine, symbols: Sequence[str]) -> MooreMachine:
-    """Project the machine onto a sub-alphabet (states unchanged)."""
-    cols = [m.symbol_index(s) for s in symbols]
-    trans = tuple(tuple(row[c] for c in cols) for row in m.transitions)
-    return MooreMachine(tuple(symbols), trans, m.outputs, m.output_classes, m.initial)
-
-
 def serialize(m: MooreMachine) -> str:
     """Line-oriented text form with a versioned header; deterministic field order."""
     lines = [

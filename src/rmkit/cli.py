@@ -178,7 +178,7 @@ def cmd_ground(args) -> int:
         "seed": args.seed,
     })
     print(f"trained on {len(traces)} episodes; final loss "
-          f"{nrm.evaluate_loss(params, grounder, traces):.4f}")
+          f"{nrm.dataset_loss(params, grounder, traces):.4f}")
     print(f"checkpoint -> {args.out}")
     return EXIT_OK
 

@@ -5,6 +5,8 @@ scatters the output adjoint back to its parents; ``Value.backward`` runs
 the recorded graph in reverse topological order and then releases it.
 Shapes up to three axes are supported, which covers everything the package
 needs: MLPs, LSTM cells, and the probabilistic machine recurrence.
+:func:`dense` and :func:`softmax` also take a plain array and then return
+one, recording nothing: the graph-free mode the agent loop runs in.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -242,6 +244,36 @@ def take(a: Value, index: int, axis=0) -> Value:
     return out
 
 
+def dense(x, w: Value, b: Value, act=None):
+    """One fully connected layer, ``act(x @ w + b)``, with ``act`` None or "tanh".
+
+    A Value ``x`` (``[d]`` or ``[B, d]``) gives one graph node whose backward
+    repeats the chained ``matmul``, ``add`` and ``tanh`` closures, so the
+    gradients are the same bits; a plain array gives a plain array.
+    """
+    graph = isinstance(x, Value)
+    data = x.data if graph else x
+    if graph and (data.ndim not in (1, 2) or data.shape[-1] != w.data.shape[0]):
+        raise InputError(f"dense wants x [d] or [B, d] with d = {w.data.shape[0]}, got {data.shape}")
+    z = data @ w.data + b.data
+    if act == "tanh":
+        z = np.tanh(z)
+    if not graph:
+        return z
+    out = Value(z, (x, w, b))
+
+    def backward():
+        g = out.grad
+        if act == "tanh":
+            g = g * (1.0 - z**2)
+        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(x, g @ w.data.T)
+        _accum(w, np.outer(data, g) if data.ndim == 1 else data.T @ g)
+
+    out._backward = backward
+    return out
+
+
 def tanh(a: Value) -> Value:
     a = _wrap(a)
     out = Value(np.tanh(a.data), (a,))
@@ -275,11 +307,15 @@ def sigmoid(a: Value) -> Value:
     return out
 
 
-def softmax(a: Value, axis=-1) -> Value:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax(a, axis=-1):
+    """Softmax along ``axis``; a plain array in gives a plain array out."""
+    graph = isinstance(a, Value)
+    data = a.data if graph else a
+    shifted = data - data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
+    if not graph:
+        return s
     out = Value(s, (a,))
 
     def backward():

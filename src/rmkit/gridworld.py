@@ -45,6 +45,8 @@ class GridConfig:
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
             raise InputError("grid must be at least 2x2")
+        if self.t_max < 1:
+            raise InputError(f"t_max must be at least 1, got {self.t_max}")
         cells = [cell for cell, _ in self.items]
         if len(set(cells)) != len(cells):
             raise InputError("at most one item per cell")

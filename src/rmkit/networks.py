@@ -1,17 +1,19 @@
 """Network builders on top of the autodiff kernel.
 
 Shapes follow the experiment setup used throughout the package: actor and
-critic are three tanh layers of width 120 (the actor ends in a softmax),
-the map-environment grounder is three linear layers with a tanh between
-the first two, optional dropout, and a terminal softmax, and the recurrent
-baseline is a two-layer LSTM of width 50.
+critic are three tanh layers of width 120, the map-environment grounder is
+three linear layers with a tanh between the first two and a terminal
+softmax, and the recurrent baseline is a two-layer LSTM of width 50.
+
+Each feed-forward network has one forward: a Value in records a graph for
+training, a plain array in gives a plain array, the agent loop's mode.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffkit import Value, dropout, matmul, reshape, sigmoid, softmax, take, tanh
+from .diffkit import Value, dense, matmul, reshape, sigmoid, softmax, take, tanh
 from .errors import MachineFormatError
 
 CKPT_VERSION = 1
@@ -23,94 +25,56 @@ class Linear:
         self.w = Value(rng.uniform(-bound, bound, size=(n_in, n_out)))
         self.b = Value(np.zeros(n_out))
 
-    def __call__(self, x: Value) -> Value:
-        return matmul(x, self.w) + self.b
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.w.data + self.b.data
+    def __call__(self, x, act=None):
+        return dense(x, self.w, self.b, act)
 
     def params(self) -> list[Value]:
         return [self.w, self.b]
 
 
 class MLP:
-    """Fully connected stack with tanh between layers and an optional head."""
+    """Fully connected stack with tanh between layers and a linear output."""
 
-    def __init__(self, rng, sizes, head="none"):
+    def __init__(self, rng, sizes):
         self.layers = [Linear(rng, a, b) for a, b in zip(sizes, sizes[1:])]
-        self.head = head
 
-    def __call__(self, x: Value) -> Value:
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = tanh(x)
-        if self.head == "softmax":
-            x = softmax(x, axis=-1)
-        return x
+    def __call__(self, x):
+        *hidden, last = self.layers
+        for layer in hidden:
+            x = layer(x, "tanh")
+        return last(x)
 
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        for i, layer in enumerate(self.layers):
-            x = layer.forward_numpy(x)
-            if i < len(self.layers) - 1:
-                x = np.tanh(x)
-        if self.head == "softmax":
-            shifted = x - x.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            x = e / e.sum(axis=-1, keepdims=True)
-        return x
+    # The graph-free call sites use this name, so a span trace can tell
+    # action selection apart from graph builds.
+    forward_numpy = __call__
 
     def params(self) -> list[Value]:
         return [p for layer in self.layers for p in layer.params()]
 
 
-def make_actor(rng, n_in: int, n_actions: int, hidden: int = 120) -> MLP:
-    return MLP(rng, (n_in, hidden, hidden, n_actions), head="softmax")
-
-
-def make_critic(rng, n_in: int, hidden: int = 120) -> MLP:
-    return MLP(rng, (n_in, hidden, hidden, 1), head="none")
-
-
 class Grounder:
     """Map-environment symbol grounder: scores states into symbol probabilities.
 
-    Three linear layers, tanh between the first two, dropout after the
-    first two (off by default; training with little data is steadier
-    without it), softmax over the symbol alphabet at the end.
+    Three linear layers, tanh between the first two, softmax over the
+    symbol alphabet at the end.
     """
 
-    def __init__(self, rng, n_in: int, n_symbols: int, hidden: int = 64,
-                 dropout_rate: float = 0.0):
+    def __init__(self, rng, n_in: int, n_symbols: int, hidden: int = 64):
         self.fc1 = Linear(rng, n_in, hidden)
         self.fc2 = Linear(rng, hidden, hidden)
         self.fc3 = Linear(rng, hidden, n_symbols)
-        self.dropout_rate = dropout_rate
         self.n_symbols = n_symbols
-        self._drop_rng = np.random.default_rng(rng.integers(2**63))
+        # A draw nothing uses: the nrm agent builds its actor and critic from
+        # this rng next and `rmkit ground` shuffles with it, so the draw keeps
+        # both runs bit-identical to those of earlier versions.
+        rng.integers(2**63)
 
-    def __call__(self, x: Value, training: bool = False) -> Value:
-        rate = self.dropout_rate if training else 0.0
-        h = self.fc1(x)
-        if rate > 0.0:
-            h = dropout(h, rate, self._drop_rng)
-        h = tanh(h)
-        h = self.fc2(h)
-        if rate > 0.0:
-            h = dropout(h, rate, self._drop_rng)
-        return softmax(self.fc3(h), axis=-1)
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        h = np.tanh(self.fc1.forward_numpy(x))
-        h = self.fc2.forward_numpy(h)
-        logits = self.fc3.forward_numpy(h)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+    def __call__(self, x):
+        return softmax(self.fc3(self.fc2(self.fc1(x, "tanh"))))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Most probable symbol index per input row."""
-        return self.forward_numpy(np.asarray(x, dtype=np.float64)).argmax(axis=-1)
+        return self(np.asarray(x, dtype=np.float64)).argmax(axis=-1)
 
     def params(self) -> list[Value]:
         return self.fc1.params() + self.fc2.params() + self.fc3.params()
@@ -122,14 +86,11 @@ class OneHotGrounder:
     def __init__(self, n_symbols: int):
         self.n_symbols = n_symbols
 
-    def __call__(self, x, training: bool = False):
-        return x if isinstance(x, Value) else Value(x)
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=np.float64)
+    def __call__(self, x):
+        return x
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_numpy(x).argmax(axis=-1)
+        return np.asarray(x).argmax(axis=-1)
 
     def params(self) -> list[Value]:
         return []
@@ -181,15 +142,6 @@ class LSTM:
             new_state.append((h, c))
             inp = h
         return inp, new_state
-
-    def forward(self, xs) -> list[Value]:
-        """Hidden sequence of the top layer over a list of input Values."""
-        state = self.zero_state()
-        outs = []
-        for x in xs:
-            h, state = self.step(x, state)
-            outs.append(h)
-        return outs
 
     @staticmethod
     def detach_state(state):

@@ -125,14 +125,14 @@ def forward(params: ProbMachineParams, grounder, x_s) -> ProbTraces:
                         for v in (traces.symbols, traces.states, traces.rewards)))
 
 
-def forward_batch(params: ProbMachineParams, grounder, xs, training: bool = False) -> ProbTraces:
+def forward_batch(params: ProbMachineParams, grounder, xs) -> ProbTraces:
     """Batched forward over equal-length sequences ``[B, T, d]``."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[1] == 0:
         raise InputError("xs must be [B, T, d] with T >= 1")
     b, t_len, d = xs.shape
     mt_eff, mr_eff = params.machine_tensors()
-    flat = grounder(Value(xs.reshape(b * t_len, d)), training=training)
+    flat = grounder(Value(xs.reshape(b * t_len, d)))
     k = flat.data.shape[-1]
     if k != len(params.alphabet):
         raise InputError("grounder output width must match the alphabet")
@@ -147,30 +147,22 @@ def forward_batch(params: ProbMachineParams, grounder, xs, training: bool = Fals
 
 
 class MachineStateTracker:
-    """Incremental, graph-free state-probability updates for the agent loop."""
+    """Incremental, graph-free state-probability updates over a frozen machine."""
 
     def __init__(self, params: ProbMachineParams, grounder):
+        if not params.frozen:
+            raise InputError("MachineStateTracker expects a frozen (knowledge-initialized) machine")
         self.params = params
         self.grounder = grounder
-        self.refresh()
         self.q = params.q0.copy()
-
-    def refresh(self):
-        """Re-snapshot the effective tensors (call after training updates)."""
-        if self.params.frozen:
-            self._mt = self.params.mt.data
-        else:
-            logits = self.params.mt.data / self.params.tau
-            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            self._mt = e / e.sum(axis=-1, keepdims=True)
 
     def reset(self) -> np.ndarray:
         self.q = self.params.q0.copy()
         return self.q.copy()
 
     def step(self, state_vec: np.ndarray) -> np.ndarray:
-        probs = self.grounder.forward_numpy(np.asarray(state_vec, float)[np.newaxis, :])[0]
-        self.q = np.einsum("i,q,iqo->o", probs, self.q, self._mt)
+        probs = self.grounder(np.asarray(state_vec, float)[np.newaxis, :])[0]
+        self.q = np.einsum("i,q,iqo->o", probs, self.q, self.params.mt.data)
         return self.q.copy()
 
 
@@ -198,21 +190,16 @@ def _grouped_by_length(dataset):
     return out
 
 
-def dataset_loss(params: ProbMachineParams, grounder, groups) -> float:
-    """Step-weighted mean loss over a grouped dataset, without recording grads."""
+def dataset_loss(params: ProbMachineParams, grounder, dataset) -> float:
+    """Mean per-step loss of a trace dataset (evaluation only)."""
     total, steps = 0.0, 0
-    for xs, ys in groups:
+    for xs, ys in _grouped_by_length(dataset):
         traces = forward_batch(params, grounder, xs)
         loss = dk.cross_entropy(traces.rewards, ys)
         n = ys.size
         total += loss.item() * n
         steps += n
     return total / max(steps, 1)
-
-
-def evaluate_loss(params: ProbMachineParams, grounder, dataset) -> float:
-    """Mean per-step loss of a trace dataset (evaluation only)."""
-    return dataset_loss(params, grounder, _grouped_by_length(dataset))
 
 
 def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 100,
@@ -241,7 +228,7 @@ def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 1
         for gi in order:
             xs, ys = groups[gi]
             optimizer.zero_grad()
-            traces = forward_batch(params, grounder, xs, training=True)
+            traces = forward_batch(params, grounder, xs)
             loss = dk.cross_entropy(traces.rewards, ys)
             loss.backward()
             optimizer.step()
@@ -281,7 +268,7 @@ def pure_learning(dataset, n_states: int, alphabet, output_classes, grounder=Non
         for gi in rng.permutation(len(groups)):
             xs, ys = groups[gi]
             optimizer.zero_grad()
-            traces = forward_batch(params, grounder, xs, training=True)
+            traces = forward_batch(params, grounder, xs)
             loss = dk.cross_entropy(traces.rewards, ys)
             loss.backward()
             optimizer.step()

@@ -31,7 +31,7 @@ from .diffkit import Adam, Value, clip_grad_norm, spawn_rngs
 from .errors import InputError
 from .formulas import TASK_ALPHABET, TASK_FORMULAS, compile_formula
 from .gridworld import DEFAULT_CONFIG, EpisodeTrace, GridConfig, GridWorld
-from .networks import LSTM, MLP, Grounder, OneHotGrounder, augment_input
+from .networks import LSTM, MLP, Grounder, augment_input
 from .nrm import MachineStateTracker, params_from_machine, train_grounder
 
 AGENT_KINDS = ("rm", "nrm", "rnn")
@@ -62,6 +62,8 @@ class TrainConfig:
                    self.window, self.grad_clip)
         if not all(0 < v < np.inf for v in numeric):
             raise InputError("training settings must all be positive and finite")
+        if self.gamma > 1:
+            raise InputError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.buffer_recent < 0 or self.buffer_elite < 0:
             raise InputError("buffer_recent and buffer_elite must not be negative")
         if self.buffer_recent + self.buffer_elite == 0:
@@ -116,16 +118,14 @@ class ActorCriticNets:
     """Shared actor/critic stack over a fixed-size input vector."""
 
     def __init__(self, rng, in_dim: int, n_actions: int, config: TrainConfig):
-        self.actor = MLP(rng, (in_dim, 120, 120, n_actions), head="none")
-        self.critic = MLP(rng, (in_dim, 120, 120, 1), head="none")
+        self.actor = MLP(rng, (in_dim, 120, 120, n_actions))
+        self.critic = MLP(rng, (in_dim, 120, 120, 1))
         self.config = config
         self.params = self.actor.params() + self.critic.params()
         self.optimizer = Adam(self.params, lr=config.lr)
 
     def action_probs(self, x: np.ndarray) -> np.ndarray:
-        logits = self.actor.forward_numpy(x)
-        e = np.exp(logits - logits.max())
-        return e / e.sum()
+        return dk.softmax(self.actor.forward_numpy(x))
 
     def state_value(self, x: np.ndarray) -> float:
         return float(self.critic.forward_numpy(x)[0])
@@ -169,26 +169,6 @@ class GrounderBuffer:
         return len(self.dataset())
 
 
-def make_oracle_grounder(config: GridConfig):
-    """Ground-truth lookup grounder over the grid's encoded coordinates."""
-    k = len(config.alphabet)
-
-    class OracleGrounder(OneHotGrounder):
-        def forward_numpy(self, x):
-            x = np.asarray(x, dtype=np.float64)
-            cols = np.rint(x[:, 0] * (config.width - 1)).astype(int)
-            rows = np.rint(x[:, 1] * (config.height - 1)).astype(int)
-            out = np.zeros((x.shape[0], k))
-            for i, cell in enumerate(zip(cols, rows)):
-                out[i, config.label(cell)] = 1.0
-            return out
-
-        def __call__(self, x, training=False):
-            return Value(self.forward_numpy(x.data if isinstance(x, Value) else x))
-
-    return OracleGrounder(k)
-
-
 # ---------------------------------------------------------------------------
 # single-seed runs, one per agent kind
 
@@ -198,9 +178,9 @@ def _mlp_agent_run(env: GridWorld, machine_features, record_traces: bool,
                    grounder=None, grounder_params=None):
     """Shared episode loop for the rm and nrm agents.
 
-    ``machine_features`` maps (env, tracker_state) to the feature vector
-    appended to the observation; for the nrm agent it also owns the
-    incremental probabilistic state.
+    ``machine_features`` gives, on ``reset()`` and on ``step(obs)``, the
+    machine-state vector appended to the observation: the exact state for
+    the rm agent, a :class:`MachineStateTracker` for the nrm agent.
     """
     in_dim = 2 + env.machine.n_states
     nets = ActorCriticNets(rng_weights, in_dim, 4, config)
@@ -248,7 +228,6 @@ def _mlp_agent_run(env: GridWorld, machine_features, record_traces: bool,
                 train_grounder(grounder_params, grounder, buffer.dataset(),
                                epochs=config.grounder_epochs, optimizer=grounder_opt,
                                rng=rng_grounder)
-                machine_features.refresh()
     return returns
 
 
@@ -264,30 +243,11 @@ class _ExactFeatures:
     def step(self, obs):
         return self.env.machine_state_onehot
 
-    def refresh(self):
-        pass
-
-
-class _TrackerFeatures:
-    """Probabilistic machine state from the learned grounder (no label access)."""
-
-    def __init__(self, tracker: MachineStateTracker):
-        self.tracker = tracker
-
-    def reset(self):
-        return self.tracker.reset()
-
-    def step(self, obs):
-        return self.tracker.step(obs)
-
-    def refresh(self):
-        self.tracker.refresh()
-
 
 def _rnn_agent_run(env: GridWorld, config: TrainConfig, rng_weights, rng_actions):
     lstm = LSTM(rng_weights, 2, hidden=50, layers=2)
-    actor_head = MLP(rng_weights, (50, 120, 120, 4), head="none")
-    critic_head = MLP(rng_weights, (50, 120, 120, 1), head="none")
+    actor_head = MLP(rng_weights, (50, 120, 120, 4))
+    critic_head = MLP(rng_weights, (50, 120, 120, 1))
     params = lstm.params() + actor_head.params() + critic_head.params()
     optimizer = Adam(params, lr=config.lr)
     returns = []
@@ -298,9 +258,7 @@ def _rnn_agent_run(env: GridWorld, config: TrainConfig, rng_weights, rng_actions
         hs, acts, rews = [], [], []
         total = 0.0
         while not env.done:
-            logits_np = actor_head.forward_numpy(h.data)
-            e = np.exp(logits_np - logits_np.max())
-            probs = e / e.sum()
+            probs = dk.softmax(actor_head.forward_numpy(h.data))
             action = int(rng_actions.choice(len(probs), p=probs))
             obs, reward, _, done = env.step(action)
             total += reward
@@ -354,8 +312,7 @@ def run_single(task, agent_kind: str, config: TrainConfig, grid_config: GridConf
         return _rnn_agent_run(env, config, rng_weights, rng_actions)
     grounder = Grounder(rng_weights, 2, len(machine.alphabet), hidden=config.grounder_hidden)
     params = params_from_machine(machine)
-    tracker = MachineStateTracker(params, grounder)
-    return _mlp_agent_run(env, _TrackerFeatures(tracker), True, config,
+    return _mlp_agent_run(env, MachineStateTracker(params, grounder), True, config,
                           rng_weights, rng_actions, rng_grounder,
                           grounder=grounder, grounder_params=params)
 

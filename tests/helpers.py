@@ -5,10 +5,14 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from rmkit import shortcuts
 from rmkit.automata import MooreMachine, minimize, run_string
+from rmkit.diffkit import Value
 from rmkit.formulas import TASK_ALPHABET, TASK_FORMULAS
+from rmkit.gridworld import GridConfig
+from rmkit.networks import OneHotGrounder
 
 # published shortcut counts for the eight tasks, identity included
 TASK_URS_COUNTS = {1: 54, 2: 24, 3: 27, 4: 4, 5: 8, 6: 8, 7: 4, 8: 4}
@@ -40,6 +44,58 @@ def visit_a_machine(alphabet=("a", "b")) -> MooreMachine:
         outputs=(0, 1),
         output_classes=(0, 1),
     )
+
+
+def restrict_alphabet(m: MooreMachine, symbols) -> MooreMachine:
+    """Project the machine onto a sub-alphabet (states unchanged)."""
+    cols = [m.symbol_index(s) for s in symbols]
+    trans = tuple(tuple(row[c] for c in cols) for row in m.transitions)
+    return MooreMachine(tuple(symbols), trans, m.outputs, m.output_classes, m.initial)
+
+
+def make_oracle_grounder(config):
+    """Ground-truth lookup grounder over a grid's encoded coordinates."""
+    k = len(config.alphabet)
+
+    class OracleGrounder(OneHotGrounder):
+        def __call__(self, x):
+            if isinstance(x, Value):
+                return Value(self(x.data))
+            cols = np.rint(x[:, 0] * (config.width - 1)).astype(int)
+            rows = np.rint(x[:, 1] * (config.height - 1)).astype(int)
+            out = np.zeros((x.shape[0], k))
+            for i, cell in enumerate(zip(cols, rows)):
+                out[i, config.label(cell)] = 1.0
+            return out
+
+    return OracleGrounder(k)
+
+
+@st.composite
+def machines(draw, max_states=5, max_symbols=4):
+    """Any valid machine: free symbol names, unsorted classes, any initial state."""
+    k = draw(st.integers(1, max_symbols))
+    n = draw(st.integers(1, max_states))
+    names = st.text("abxyz_019", min_size=1, max_size=3)
+    alphabet = tuple(draw(st.lists(names, min_size=k, max_size=k, unique=True)))
+    classes = tuple(draw(st.lists(st.integers(-2, 5), min_size=1, max_size=3, unique=True)))
+    rows = st.lists(st.integers(0, n - 1), min_size=k, max_size=k).map(tuple)
+    trans = tuple(draw(st.lists(rows, min_size=n, max_size=n)))
+    outs = tuple(draw(st.lists(st.integers(0, len(classes) - 1), min_size=n, max_size=n)))
+    return MooreMachine(alphabet, trans, outs, classes, draw(st.integers(0, n - 1)))
+
+
+@st.composite
+def grid_configs(draw):
+    """Valid grids up to 5x5 on the task alphabet, items listed row by row as parse_map does."""
+    width, height = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    start = draw(st.sampled_from(cells))
+    free = [c for c in cells if c != start]
+    placed = draw(st.lists(st.sampled_from(free), unique=True, max_size=4))
+    symbols = draw(st.lists(st.sampled_from("abcd"), min_size=len(placed), max_size=len(placed)))
+    items = tuple(sorted(zip(placed, symbols), key=lambda item: (item[0][1], item[0][0])))
+    return GridConfig(width, height, items, start, t_max=draw(st.integers(1, 60)))
 
 
 def all_strings(n_symbols: int, max_len: int):

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_strings, outputs_on, random_machine, random_string, visit_ab_machine, visit_a_machine
+from helpers import (
+    all_strings,
+    machines,
+    outputs_on,
+    random_machine,
+    random_string,
+    restrict_alphabet,
+    visit_a_machine,
+    visit_ab_machine,
+)
 from rmkit.automata import (
     MooreMachine,
     absorbing_states,
@@ -17,7 +26,6 @@ from rmkit.automata import (
     minimize,
     product_conjunction,
     relabel,
-    restrict_alphabet,
     run_string,
     serialize,
     shape_rewards,
@@ -322,6 +330,12 @@ class TestCanonicalForm:
     def test_unreachable_states_dropped(self):
         m = MooreMachine(("a",), ((0,), (1,)), (0, 1), (0, 1), initial=0)
         assert canonicalize(m).n_states == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(machines())
+def test_serialize_round_trip_hypothesis(m):
+    assert deserialize(serialize(m)) == m
 
 
 @settings(max_examples=200, deadline=None)

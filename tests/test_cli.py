@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import grid_configs, machines
 from rmkit import automata, gridworld
 from rmkit.cli import main
 from rmkit.config import format_experiment_config, parse_experiment_config
@@ -186,6 +188,10 @@ class TestTrain:
         ("[grid]\nstart = 1", "bad value for 'start': '1'"),
         ("[grid]\nstart = 1,2,3", "bad value for 'start': '1,2,3'"),
         ("[grid]\nwidth = 2.5", "bad value for 'width': '2.5'"),
+        ("[train]\nepisodes = 2\ngamma = 7", "gamma must lie in (0, 1]"),
+        ("[train]\nepisodes = 2\ngamma = 1.5", "gamma must lie in (0, 1]"),
+        ("[train]\nepisodes = 2\n[grid]\nt_max = 0", "t_max must be at least 1"),
+        ("[train]\nepisodes = 2\n[grid]\nt_max = -1", "t_max must be at least 1"),
     ])
     def test_bad_config_numbers_are_data_errors(self, tmp_path, capsys, body, message):
         cfg = tmp_path / "exp.cfg"
@@ -328,4 +334,49 @@ def test_fuzz_trace_csv(rows):
         traces.write_text("\n".join(["episode,t,x,y,reward_class,scalar_reward", *rows]) + "\n")
         code = main(["ground", "--machine", str(mm), "--traces", str(traces), "--epochs", "1",
                      "--hidden", "4", "--out", str(Path(tmp) / "g.npz")])
+        assert code in (0, 1, 2)
+
+
+def _mutate_tokens(text: str, pos: int, junk: str) -> str:
+    """Replace the ``pos``-th (mod count) whitespace-separated token of ``text`` by ``junk``."""
+    parts = re.split(r"(\s+)", text)
+    words = [i for i, part in enumerate(parts) if part and not part.isspace()]
+    parts[words[pos % len(words)]] = junk
+    return "".join(parts)
+
+
+_junk_tokens = st.sampled_from(["", "x", "-1", "99", "1.5", "nan", "state", "next", "0 0", "\n"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(machine=machines(), mutate=st.booleans(), pos=st.integers(0, 60), junk=_junk_tokens,
+       oracle=st.sampled_from(["none", "exact", "bounded:3", "bounded:x", "nope"]),
+       jobs=st.sampled_from(["1", "0", "-2", "abc"]))
+def test_fuzz_machine_file(machine, mutate, pos, junk, oracle, jobs):
+    text = automata.serialize(machine)
+    if mutate:
+        text = _mutate_tokens(text, pos, junk)
+    with tempfile.TemporaryDirectory() as tmp:
+        mm = Path(tmp) / "m.mm"
+        mm.write_text(text)
+        code = main(["urs", "--machine", str(mm), "--oracle", oracle, "--jobs", jobs,
+                     "--out", str(Path(tmp) / "urs.csv")])
+        assert code in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=grid_configs(), mutate=st.booleans(), pos=st.integers(0, 60),
+       char=st.sampled_from(".SabceX? \n"),
+       task=st.sampled_from(["1", "F(a)", "F(a) & F(b)", "F(e)"]),
+       agent=st.sampled_from(["rm", "nrm", "rnn"]))
+def test_fuzz_grid_map(config, mutate, pos, char, task, agent):
+    text = gridworld.write_map(config)
+    if mutate:
+        pos %= len(text)
+        text = text[:pos] + char + text[pos + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        grid = Path(tmp) / "grid.map"
+        grid.write_text(text)
+        code = main(["train", "--task", task, "--agent", agent, "--map", str(grid),
+                     "--episodes", "1", "--seeds", "0", "--out", str(Path(tmp) / "out")])
         assert code in (0, 1, 2)

@@ -9,6 +9,7 @@ from rmkit.diffkit import (
     clip_grad_norm,
     concat,
     cross_entropy,
+    dense,
     dropout,
     log_softmax,
     matmul,
@@ -133,6 +134,12 @@ class TestGradients:
 
         check_op(build, (3, 3), (3, 4, 2), (2, 3, 3))
 
+    @pytest.mark.parametrize("act", ["tanh", None])
+    @pytest.mark.parametrize("x_shape", [(4,), (3, 4)])
+    def test_dense(self, act, x_shape):
+        weights = np.arange(5.0) - 2.0
+        check_op(lambda x, w, b: vsum(mul(dense(x, w, b, act), weights)), x_shape, (4, 5), (5,))
+
     def test_dropout_gradient(self):
         # re-seeding inside the build keeps the mask fixed across evaluations
         def build(a):
@@ -175,6 +182,52 @@ class TestPmmScan:
             pmm_scan(np.ones((4, 3)), np.ones((4, 5, 3)), m)
         with pytest.raises(InputError):
             pmm_scan(np.ones((4, 3)), np.ones((4, 0, 2)), m)
+
+
+class TestDense:
+    @pytest.mark.parametrize("act", ["tanh", None])
+    @pytest.mark.parametrize("x_shape", [(4,), (3, 4)])
+    def test_matches_chained_ops_bitwise(self, act, x_shape):
+        rng = np.random.default_rng(17)
+        arrays = [rng.standard_normal(x_shape), rng.standard_normal((4, 5)), rng.standard_normal(5)]
+        weights = rng.standard_normal(x_shape[:-1] + (5,))
+        fused_leaves = [Value(a.copy()) for a in arrays]
+        fused = dense(*fused_leaves, act)
+        vsum(mul(fused, weights)).backward()
+        chain_leaves = [Value(a.copy()) for a in arrays]
+        x, w, b = chain_leaves
+        chained = add(matmul(x, w), b)
+        if act == "tanh":
+            chained = tanh(chained)
+        vsum(mul(chained, weights)).backward()
+        assert np.array_equal(fused.data, chained.data)
+        for a, c in zip(fused_leaves, chain_leaves):
+            assert np.array_equal(a.grad, c.grad)
+
+    @pytest.mark.parametrize("act", ["tanh", None])
+    def test_array_in_array_out(self, act):
+        rng = np.random.default_rng(19)
+        w, b = Value(rng.standard_normal((4, 5))), Value(rng.standard_normal(5))
+        for x in (rng.standard_normal(4), rng.standard_normal((3, 4))):
+            out = dense(x, w, b, act)
+            assert isinstance(out, np.ndarray)
+            assert np.array_equal(out, dense(Value(x), w, b, act).data)
+        assert w.grad is None and b.grad is None
+
+    def test_shape_mismatch(self):
+        w, b = Value(np.zeros((4, 5))), Value(np.zeros(5))
+        with pytest.raises(InputError):
+            dense(Value(np.zeros(3)), w, b)
+        with pytest.raises(InputError):
+            dense(Value(np.zeros((2, 2, 4))), w, b)
+
+    def test_softmax_array_in_array_out(self):
+        rng = np.random.default_rng(23)
+        for x in (rng.standard_normal(4), rng.standard_normal((3, 4)) * 5):
+            for axis in (-1, 0):
+                out = softmax(x, axis=axis)
+                assert isinstance(out, np.ndarray)
+                assert np.array_equal(out, softmax(Value(x), axis=axis).data)
 
 
 class TestForwardValues:

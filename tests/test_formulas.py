@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import TASK_ALPHABET, TASK_FORMULAS, all_strings
-from rmkit.automata import equivalent, restrict_alphabet, run_string, serialize
+from helpers import TASK_ALPHABET, TASK_FORMULAS, all_strings, restrict_alphabet
+from rmkit.automata import equivalent, run_string, serialize
 from rmkit.errors import FormulaSyntaxError, InputError, UnsupportedConstructError
 from rmkit.formulas import (
     And,

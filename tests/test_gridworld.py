@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from helpers import TASK_ALPHABET, TASK_FORMULAS
+from helpers import TASK_ALPHABET, TASK_FORMULAS, grid_configs
 from rmkit.errors import InputError, MachineFormatError, UsageError
 from rmkit.formulas import compile_formula
 from rmkit.gridworld import (
@@ -64,6 +65,11 @@ class TestConfigValidation:
     def test_start_on_item(self):
         with pytest.raises(InputError):
             GridConfig(items=(((0, 0), "a"),))
+
+    @pytest.mark.parametrize("t_max", [0, -1])
+    def test_horizon_below_one(self, t_max):
+        with pytest.raises(InputError, match="t_max"):
+            GridConfig(t_max=t_max)
 
     def test_missing_relevant_symbol(self):
         m = compile_formula("F(a) & F(b)", TASK_ALPHABET)
@@ -203,6 +209,11 @@ class TestTextFormats:
         text = write_map(DEFAULT_CONFIG)
         parsed = parse_map(text)
         assert parsed == DEFAULT_CONFIG
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(grid_configs())
+    def test_map_round_trip_hypothesis(self, config):
+        assert parse_map(write_map(config), t_max=config.t_max) == config
 
     def test_map_requires_header(self):
         with pytest.raises(MachineFormatError):

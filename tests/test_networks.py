@@ -1,16 +1,15 @@
 import numpy as np
 
 from helpers import assert_grad_close, numeric_grad
-from rmkit.diffkit import Value, cross_entropy, stack, vsum, mul
+from rmkit.diffkit import Value, cross_entropy, softmax, stack, vsum, mul
 from rmkit.networks import (
     LSTM,
+    MLP,
     Grounder,
     OneHotGrounder,
     assign_params,
     augment_input,
     load_params,
-    make_actor,
-    make_critic,
     save_params,
 )
 
@@ -18,15 +17,15 @@ from rmkit.networks import (
 class TestMlps:
     def test_actor_outputs_distribution(self):
         rng = np.random.default_rng(0)
-        actor = make_actor(rng, 6, 4)
-        probs = actor(Value(rng.standard_normal(6)))
+        actor = MLP(rng, (6, 120, 120, 4))
+        probs = softmax(actor(Value(rng.standard_normal(6))))
         assert probs.data.shape == (4,)
         assert np.isclose(probs.data.sum(), 1.0, atol=1e-9)
         assert (probs.data > 0).all()
 
     def test_critic_scalar_output(self):
         rng = np.random.default_rng(1)
-        critic = make_critic(rng, 6)
+        critic = MLP(rng, (6, 120, 120, 1))
         v = critic(Value(rng.standard_normal((3, 6))))
         assert v.data.shape == (3, 1)
 
@@ -37,14 +36,19 @@ class TestMlps:
         assert probs.data.shape == (7, 5)
         assert np.allclose(probs.data.sum(axis=-1), 1.0, atol=1e-9)
 
-    def test_numpy_forward_matches_graph(self):
+    def test_array_call_matches_graph_call_bitwise(self):
         rng = np.random.default_rng(3)
-        actor = make_actor(rng, 4, 3)
+        mlp = MLP(rng, (4, 7, 7, 3))
         g = Grounder(rng, 2, 5)
-        x = rng.standard_normal((6, 4))
-        assert np.allclose(actor(Value(x)).data, actor.forward_numpy(x))
+        for x in (rng.standard_normal((6, 4)), rng.standard_normal(4)):
+            out = mlp(x)
+            assert isinstance(out, np.ndarray)
+            assert np.array_equal(out, mlp(Value(x)).data)
+            assert np.array_equal(mlp.forward_numpy(x), out)
         y = rng.random((6, 2))
-        assert np.allclose(g(Value(y)).data, g.forward_numpy(y))
+        out = g(y)
+        assert isinstance(out, np.ndarray)
+        assert np.array_equal(out, g(Value(y)).data)
 
     def test_grounder_gradcheck(self):
         rng = np.random.default_rng(4)
@@ -63,21 +67,10 @@ class TestMlps:
 
             assert_grad_close(p.grad, numeric_grad(f, p.data.copy()), rtol=1e-4)
 
-    def test_dropout_only_when_training(self):
-        rng = np.random.default_rng(5)
-        g = Grounder(rng, 2, 4, dropout_rate=0.5)
-        x = Value(rng.random((3, 2)))
-        eval_a = g(x).data
-        eval_b = g(x).data
-        assert np.array_equal(eval_a, eval_b)
-        train_a = g(x, training=True).data
-        train_b = g(x, training=True).data
-        assert not np.array_equal(train_a, train_b)
-
     def test_onehot_grounder_passthrough(self):
         g = OneHotGrounder(3)
         x = np.eye(3)
-        assert np.array_equal(g.forward_numpy(x), x)
+        assert np.array_equal(g(x), x)
         assert list(g.predict(x)) == [0, 1, 2]
         assert g.params() == []
 
@@ -105,7 +98,10 @@ class TestLstm:
         xs = [rng.standard_normal(2) for _ in range(3)]
 
         def loss_value():
-            outs = net.forward([Value(x) for x in xs])
+            state, outs = net.zero_state(), []
+            for x in xs:
+                h, state = net.step(Value(x), state)
+                outs.append(h)
             return vsum(mul(stack(outs), 0.3))
 
         loss = loss_value()
@@ -147,4 +143,4 @@ class TestCheckpoints:
         named2 = {f"g{i}": p for i, p in enumerate(g2.params())}
         assign_params(named2, arrays)
         x = rng.random((3, 2))
-        assert np.allclose(g.forward_numpy(x), g2.forward_numpy(x))
+        assert np.allclose(g(x), g2(x))

@@ -62,7 +62,7 @@ class TestForwardExactness:
         params = params_from_machine(m)
 
         class UniformGrounder(OneHotGrounder):
-            def __call__(self, x, training=False):
+            def __call__(self, x):
                 data = np.full((x.data.shape[0], 2), 0.5)
                 return Value(data)
 
@@ -160,7 +160,7 @@ class TestSgLoss:
             probs = lam * trace.states + (1 - lam) * np.full_like(trace.states, 0.5)
 
             class MixGrounder(OneHotGrounder):
-                def __call__(self, x, training=False):
+                def __call__(self, x):
                     return Value(probs)
 
             return sg_loss(params, MixGrounder(2), trace).item()
@@ -195,6 +195,11 @@ class TestTrainGrounder:
         with pytest.raises(InputError):
             train_grounder(params, OneHotGrounder(2), [])
 
+    def test_tracker_rejects_learnable_machine(self):
+        params = random_params(np.random.default_rng(0), ("a", "b"), (0, 1), 2)
+        with pytest.raises(InputError):
+            MachineStateTracker(params, OneHotGrounder(2))
+
     def test_loss_decreases_over_first_epochs(self):
         rng = np.random.default_rng(97)
         m = shape_rewards(visit_a_machine(("a", "b")))
@@ -208,13 +213,12 @@ class TestTrainGrounder:
             tr.states = np.array([coords[int(s)] for s in tr.symbols])
         g = Grounder(rng, 2, 2, hidden=16)
         opt = Adam(g.params(), lr=3e-3)
-        from rmkit.nrm import _grouped_by_length, dataset_loss
+        from rmkit.nrm import dataset_loss
 
-        groups = _grouped_by_length(dataset)
-        losses = [dataset_loss(params, g, groups)]
+        losses = [dataset_loss(params, g, dataset)]
         for _ in range(10):
             train_grounder(params, g, dataset, epochs=1, optimizer=opt, rng=rng)
-            losses.append(dataset_loss(params, g, groups))
+            losses.append(dataset_loss(params, g, dataset))
         assert losses[-1] < losses[0]
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-9)
         assert drops >= 8  # allow a couple of noisy upticks
@@ -252,11 +256,11 @@ class TestPureLearning:
     def test_annealing_helps_or_ties_constant_temperature(self):
         # at constant tau=1 the extracted machine may be wrong; the annealed
         # run's held-out loss must not be worse by more than a coarse margin
-        from rmkit.nrm import _grouped_by_length, dataset_loss
+        from rmkit.nrm import dataset_loss
 
         target = shape_rewards(visit_a_machine(("a", "b")))
         train_set = self._dataset(target, n=600, seed=7)
-        heldout = _grouped_by_length(self._dataset(target, n=200, seed=8))
+        heldout = self._dataset(target, n=200, seed=8)
         annealed, g1 = pure_learning(train_set, n_states=3, alphabet=("a", "b"),
                                      output_classes=target.output_classes, seed=0)
         constant, g2 = pure_learning(train_set, n_states=3, alphabet=("a", "b"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import make_oracle_grounder
 from rmkit.diffkit import Value
 from rmkit.errors import InputError
 from rmkit.gridworld import DEFAULT_CONFIG, GridWorld, EpisodeTrace
@@ -11,7 +12,6 @@ from rmkit.training import (
     GrounderBuffer,
     TrainConfig,
     a2c_losses,
-    make_oracle_grounder,
     n_step_returns,
     resolve_task,
     returns_to_csv,
@@ -49,11 +49,17 @@ class TestConfig:
         {"lr": float("nan")},
         {"lr": float("inf")},
         {"gamma": float("nan")},
+        {"gamma": 1.01},
+        {"gamma": 7.0},
+        {"gamma": 0.0},
         {"seeds": ()},
     ])
     def test_rejects_invalid_grounder_and_seed_settings(self, bad):
         with pytest.raises(InputError):
             TrainConfig(**bad)
+
+    def test_undiscounted_gamma_is_allowed(self):
+        assert TrainConfig(gamma=1.0).gamma == 1.0
 
     def test_one_empty_buffer_is_allowed(self):
         assert TrainConfig(buffer_recent=0).buffer_elite == 60
