@@ -8,6 +8,8 @@ is deterministic: fixed inputs and seeds give bit-identical output files
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 
@@ -44,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_urs.add_argument("--machine", required=True)
     p_urs.add_argument("--oracle", default="none",
                        help="cross-check: exact, bounded:<L>, or none")
-    p_urs.add_argument("--jobs", type=int, default=1)
+    p_urs.add_argument("--jobs", type=int, default=1, help="ignored: the search runs in one process")
     p_urs.add_argument("--no-skips", action="store_true",
                        help="disable the absorbing/self-loop pruning (same result, slower)")
     p_urs.add_argument("--out", required=True, help="report CSV path")
@@ -77,16 +79,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
+@contextlib.contextmanager
+def _file_errors(path: str, verb: str):
+    """Report a failure to read or write ``path`` as a data error."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        yield
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+        raise InputError(f"cannot {verb} {path}: {exc.strerror}") from exc
+
+
+def _read(path: str) -> str:
+    with _file_errors(path, "read"), open(path) as fh:
+        return fh.read()
 
 
 def _write(path: str, text: str):
-    with open(path, "w") as fh:
+    with _file_errors(path, "write"), open(path, "w") as fh:
         fh.write(text)
 
 
@@ -115,8 +123,8 @@ def cmd_compile(args) -> int:
 def cmd_urs(args) -> int:
     machine = automata.deserialize(_read(args.machine))
     report = shortcuts.find_urs(machine, skip_absorbing=not args.no_skips,
-                                skip_selfloop=not args.no_skips, jobs=args.jobs)
-    with open(args.out, "w") as fh:  # streamed: 8 symbols make a 218 MB report
+                                skip_selfloop=not args.no_skips)
+    with _file_errors(args.out, "write"), open(args.out, "w") as fh:  # streamed: 8 symbols make 218 MB
         fh.writelines(shortcuts.iter_report_csv(report))
     timing_lines = [
         f"algorithm_seconds = {report.timings['total']:.6f}",
@@ -160,6 +168,8 @@ def cmd_urs(args) -> int:
 
 
 def cmd_ground(args) -> int:
+    if args.hidden < 1 or args.seed < 0:
+        raise UsageError("ground needs --hidden >= 1 and --seed >= 0")
     machine = automata.deserialize(_read(args.machine))
     grid = _load_grid(args)
     traces = gridworld.traces_from_csv(_read(args.traces), grid,
@@ -171,12 +181,13 @@ def cmd_ground(args) -> int:
     grounder = Grounder(rng, 2, len(machine.alphabet), hidden=args.hidden)
     nrm.train_grounder(params, grounder, traces, epochs=args.epochs, rng=rng)
     named = {f"p{i}": p for i, p in enumerate(grounder.params())}
-    save_params(args.out, named, meta={
-        "kind": "grounder",
-        "hidden": args.hidden,
-        "symbols": len(machine.alphabet),
-        "seed": args.seed,
-    })
+    with _file_errors(args.out, "write"):
+        save_params(args.out, named, meta={
+            "kind": "grounder",
+            "hidden": args.hidden,
+            "symbols": len(machine.alphabet),
+            "seed": args.seed,
+        })
     print(f"trained on {len(traces)} episodes; final loss "
           f"{nrm.dataset_loss(params, grounder, traces):.4f}")
     print(f"checkpoint -> {args.out}")
@@ -196,13 +207,18 @@ def cmd_train(args) -> int:
             grid = parsed["grid"]
     if not task or not agent:
         raise UsageError("train needs --task and --agent (flags or config file)")
-    if args.episodes:
+    if args.episodes is not None:
         train_cfg = training.short_config(train_cfg, args.episodes, train_cfg.seeds)
     if args.seeds:
-        seeds = tuple(int(s) for s in args.seeds.split(","))
+        try:
+            seeds = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            raise UsageError(f"--seeds wants comma-separated integers, got {args.seeds!r}") from None
         train_cfg = training.short_config(train_cfg, train_cfg.episodes, seeds)
-    result = training.run_experiment(task, agent, train_cfg, grid, out_dir=args.out,
-                                     jobs=args.jobs)
+    with _file_errors(args.out, "write"):
+        os.makedirs(args.out, exist_ok=True)  # fails before training, not after it
+        result = training.run_experiment(task, agent, train_cfg, grid, out_dir=args.out,
+                                         jobs=args.jobs)
     curves = result["curves"]
     svg = plotting.svg_curves([(agent, list(curves.values()))], title=str(task),
                               window=train_cfg.window)

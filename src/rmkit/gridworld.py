@@ -106,6 +106,20 @@ class EpisodeTrace:
     def __len__(self):
         return len(self.reward_classes)
 
+    @classmethod
+    def from_steps(cls, config: GridConfig, cells, classes, rewards,
+                   episode_return: float) -> EpisodeTrace:
+        """A trace from per-step cells, reward classes and shaped rewards."""
+        cells = np.array(cells, dtype=np.int64)
+        return cls(
+            cells=cells,
+            states=np.array([config.encode(tuple(c)) for c in cells]),
+            reward_classes=np.array(classes, dtype=np.int64),
+            scalar_rewards=np.array(rewards),
+            symbols=np.array([config.label(tuple(c)) for c in cells], dtype=np.int64),
+            episode_return=episode_return,
+        )
+
 
 class GridWorld:
     """Deterministic grid simulator driving a ground-truth reward machine."""
@@ -177,25 +191,14 @@ class GridWorld:
 def run_episode(env: GridWorld, policy, rng: np.random.Generator) -> EpisodeTrace:
     """Roll one episode under ``policy(cell, machine_state, rng) -> action``."""
     env.reset()
-    cells, classes, scalars, symbols = [], [], [], []
+    cells, classes, rewards = [], [], []
     while not env.done:
         action = policy(env.cell, env.q, rng)
         _, reward, cls, _ = env.step(action)
         cells.append(env.cell)
         classes.append(cls)
-        scalars.append(reward)
-        symbols.append(env.config.label(env.cell))
-    cells = np.array(cells, dtype=np.int64)
-    states = np.array([env.config.encode(tuple(c)) for c in cells])
-    scalars = np.array(scalars)
-    return EpisodeTrace(
-        cells=cells,
-        states=states,
-        reward_classes=np.array(classes, dtype=np.int64),
-        scalar_rewards=scalars,
-        symbols=np.array(symbols, dtype=np.int64),
-        episode_return=float(scalars.sum()),
-    )
+        rewards.append(reward)
+    return EpisodeTrace.from_steps(env.config, cells, classes, rewards, float(np.sum(rewards)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +383,7 @@ def traces_from_csv(text: str, config: GridConfig,
         rows[t] = ((x, y), cls, reward)
     traces = []
     for ep in sorted(episodes):
-        rows = [(t, *row) for t, row in sorted(episodes[ep].items())]
-        cells = np.array([cell for _, cell, _, _ in rows], dtype=np.int64)
-        traces.append(
-            EpisodeTrace(
-                cells=cells,
-                states=np.array([config.encode(tuple(c)) for c in cells]),
-                reward_classes=np.array([cls for _, _, cls, _ in rows], dtype=np.int64),
-                scalar_rewards=np.array([r for _, _, _, r in rows]),
-                symbols=np.array([config.label(tuple(c)) for c in cells], dtype=np.int64),
-                episode_return=float(sum(r for _, _, _, r in rows)),
-            )
-        )
+        rows = [row for _, row in sorted(episodes[ep].items())]
+        cells, classes, rewards = zip(*rows)
+        traces.append(EpisodeTrace.from_steps(config, cells, classes, rewards, float(sum(rewards))))
     return traces

@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -160,6 +159,7 @@ def _product_array(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
 
 
 _BLOCK_ROWS = 1 << 16  # rows advanced per scatter in the level loop
+_MAX_ROWS = 1 << 22  # level-1 product cap; task 1 over 9 symbols, 3.3M rows, peaks at 950 MB
 
 
 def _search_chunk(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
@@ -224,32 +224,25 @@ def _search_chunk(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
     return alive, iterations, peak, level
 
 
-def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool = True,
-             jobs: int = 1) -> UrsReport:
+def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool = True) -> UrsReport:
     """All renamings alpha with machine == machine-after-alpha, by pruned search.
 
     Exactly the set ``{alpha : equivalent(m, relabel(m, alpha))}``.  The two
     skips never change the result (they drop extensions whose suffixes are
     covered by the absorbing-state and pumping arguments); they exist to be
-    toggled off for the pruning-neutrality check.
+    toggled off for the pruning-neutrality check.  A level-1 product over
+    ``_MAX_ROWS`` renamings raises :class:`InputError` before any allocation.
     """
     t0 = time.perf_counter()
     images = _level1_images(m)
+    rows = math.prod(len(a) for a in images)
+    if rows > _MAX_ROWS:
+        raise InputError(f"{rows} renamings pass level 1, over the {_MAX_ROWS} the search can hold")
     cand = _product_array(images)
     t_init = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    if jobs > 1:
-        chunks = np.array_split(cand, jobs)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_search_chunk, itertools.repeat(m), chunks,
-                                  itertools.repeat(skip_absorbing), itertools.repeat(skip_selfloop)))
-        alive = np.concatenate([p[0] for p in parts])
-        iterations = np.concatenate([p[1] for p in parts])
-        peak = np.concatenate([p[2] for p in parts])
-        levels = max(p[3] for p in parts)
-    else:
-        alive, iterations, peak, levels = _search_chunk(m, cand, skip_absorbing, skip_selfloop)
+    alive, iterations, peak, levels = _search_chunk(m, cand, skip_absorbing, skip_selfloop)
     t_search = time.perf_counter() - t1
 
     return UrsReport(

@@ -1,8 +1,8 @@
 """Advantage actor-critic training of the three agent kinds.
 
-All agents optimize the same shaped reward with the same A2C machinery and
-network shapes; they differ only in what history feature augments the raw
-observation:
+All agents optimize the same shaped reward with one A2C episode loop, one
+update and the same network shapes; they differ only in the feature vector
+that the actor and critic read:
 
 * ``rm``  - the exact machine state (one-hot), via the ground-truth labeler;
   the upper bound.
@@ -30,7 +30,7 @@ from .automata import MooreMachine
 from .diffkit import Adam, Value, clip_grad_norm, spawn_rngs
 from .errors import InputError
 from .formulas import TASK_ALPHABET, TASK_FORMULAS, compile_formula
-from .gridworld import DEFAULT_CONFIG, EpisodeTrace, GridConfig, GridWorld
+from .gridworld import ACTIONS, DEFAULT_CONFIG, EpisodeTrace, GridConfig, GridWorld
 from .networks import LSTM, MLP, Grounder, augment_input
 from .nrm import MachineStateTracker, params_from_machine, train_grounder
 
@@ -72,8 +72,8 @@ class TrainConfig:
             raise InputError("grounder_hidden must be at least 1")
         if not 0 < self.grounder_lr < np.inf:
             raise InputError("grounder_lr must be positive and finite")
-        if not self.seeds:
-            raise InputError("seeds must name at least one seed")
+        if not self.seeds or min(self.seeds) < 0:
+            raise InputError("seeds must name at least one seed, none negative")
 
 
 def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
@@ -115,13 +115,17 @@ def a2c_losses(logits: Value, values: Value, actions, returns, config: TrainConf
 
 
 class ActorCriticNets:
-    """Shared actor/critic stack over a fixed-size input vector."""
+    """Actor and critic MLPs over a feature vector, trained with one optimizer.
 
-    def __init__(self, rng, in_dim: int, n_actions: int, config: TrainConfig):
+    ``encoder_params`` are those of whatever computes the features (the rnn
+    agent's LSTM); they are optimized and clipped together with the heads.
+    """
+
+    def __init__(self, rng, in_dim: int, n_actions: int, config: TrainConfig, encoder_params=()):
         self.actor = MLP(rng, (in_dim, 120, 120, n_actions))
         self.critic = MLP(rng, (in_dim, 120, 120, 1))
         self.config = config
-        self.params = self.actor.params() + self.critic.params()
+        self.params = list(encoder_params) + self.actor.params() + self.critic.params()
         self.optimizer = Adam(self.params, lr=config.lr)
 
     def action_probs(self, x: np.ndarray) -> np.ndarray:
@@ -131,9 +135,9 @@ class ActorCriticNets:
         return float(self.critic.forward_numpy(x)[0])
 
     def update(self, xs, actions, returns) -> dict:
-        batch = np.stack(xs)
-        logits = self.actor(Value(batch))
-        values = dk.reshape(self.critic(Value(batch)), (len(xs),))
+        batch = dk.stack(xs)
+        logits = self.actor(batch)
+        values = dk.reshape(self.critic(batch), (len(xs),))
         total, parts = a2c_losses(logits, values, actions, returns, self.config)
         self.optimizer.zero_grad()
         total.backward()
@@ -170,118 +174,102 @@ class GrounderBuffer:
 
 
 # ---------------------------------------------------------------------------
-# single-seed runs, one per agent kind
+# single-seed runs: one episode loop, agents differ in their features
 
 
-def _mlp_agent_run(env: GridWorld, machine_features, record_traces: bool,
-                   config: TrainConfig, rng_weights, rng_actions, rng_grounder,
-                   grounder=None, grounder_params=None):
-    """Shared episode loop for the rm and nrm agents.
+class _MachineFeatures:
+    """The observation plus the exact one-hot machine state (rm, no tracker) or
+    a :class:`MachineStateTracker`'s probabilistic state (nrm)."""
 
-    ``machine_features`` gives, on ``reset()`` and on ``step(obs)``, the
-    machine-state vector appended to the observation: the exact state for
-    the rm agent, a :class:`MachineStateTracker` for the nrm agent.
-    """
-    in_dim = 2 + env.machine.n_states
-    nets = ActorCriticNets(rng_weights, in_dim, 4, config)
+    params = ()
+
+    def __init__(self, env: GridWorld, tracker=None):
+        self.env = env
+        self.tracker = tracker
+        self.dim = 2 + env.machine.n_states
+
+    def reset(self, obs) -> Value:
+        q = self.env.machine_state_onehot if self.tracker is None else self.tracker.reset()
+        return Value(augment_input(obs, q))
+
+    def step(self, obs) -> Value:
+        q = self.env.machine_state_onehot if self.tracker is None else self.tracker.step(obs)
+        return Value(augment_input(obs, q))
+
+    def cut(self, x: Value) -> Value:
+        return x
+
+
+class _LSTMFeatures:
+    """rnn: the hidden state of a stacked LSTM run over the observations."""
+
+    dim = 50
+
+    def __init__(self, rng):
+        self.lstm = LSTM(rng, 2, hidden=self.dim, layers=2)
+        self.params = self.lstm.params()
+
+    def reset(self, obs) -> Value:
+        self.state = self.lstm.zero_state()
+        return self.step(obs)
+
+    def step(self, obs) -> Value:
+        h, self.state = self.lstm.step(Value(np.asarray(obs, float)), self.state)
+        return h
+
+    def cut(self, x: Value) -> Value:
+        """Truncate backprop at an update boundary."""
+        self.state = LSTM.detach_state(self.state)
+        return x.detach()
+
+
+def _grounder_refit(config: TrainConfig, grid: GridConfig, grounder, params, rng):
+    """The nrm agent's end-of-episode hook: buffer the episode, refit periodically."""
     buffer = GrounderBuffer(config.buffer_recent, config.buffer_elite)
-    grounder_opt = Adam(grounder.params(), lr=config.grounder_lr) if grounder is not None else None
+    optimizer = Adam(grounder.params(), lr=config.grounder_lr)
+
+    def end_episode(episode: int, steps, total: float):
+        cells, classes, rewards = zip(*steps)
+        buffer.add(episode, EpisodeTrace.from_steps(grid, cells, classes, rewards, total))
+        if (episode + 1) % config.grounder_period == 0:
+            train_grounder(params, grounder, buffer.dataset(), epochs=config.grounder_epochs,
+                           optimizer=optimizer, rng=rng)
+
+    return end_episode
+
+
+def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_actions,
+               end_episode=None) -> list[float]:
+    """The A2C episode loop of every agent kind; returns per-episode returns.
+
+    ``features`` turns observations into the Values the nets read (``reset``,
+    ``step``), cuts backprop after each update (``cut``) and has ``params`` to
+    train; ``end_episode(episode, steps, total)`` gets (cell, class, reward) steps.
+    """
+    nets = ActorCriticNets(rng_weights, features.dim, len(ACTIONS), config, features.params)
     returns = []
     for episode in range(config.episodes):
-        obs = env.reset()
-        feat = machine_features.reset()
-        xs, acts, rews = [], [], []
-        ep_cells, ep_classes, ep_scalars, ep_symbols = [], [], [], []
+        x = features.reset(env.reset())
+        xs, acts, rews, steps = [], [], [], []
         total = 0.0
         while not env.done:
-            x = augment_input(obs, feat)
-            probs = nets.action_probs(x)
+            probs = nets.action_probs(x.data)
             action = int(rng_actions.choice(len(probs), p=probs))
             obs, reward, cls, done = env.step(action)
-            feat = machine_features.step(obs)
             total += reward
             xs.append(x)
             acts.append(action)
             rews.append(reward)
-            if record_traces:
-                ep_cells.append(env.cell)
-                ep_classes.append(cls)
-                ep_scalars.append(reward)
-                ep_symbols.append(env.config.label(env.cell))
+            steps.append((env.cell, cls, reward))
+            x = features.step(obs)
             if len(xs) == config.n_step or done:
-                bootstrap = 0.0 if done else nets.state_value(augment_input(obs, feat))
+                bootstrap = 0.0 if done else nets.state_value(x.data)
                 nets.update(xs, acts, n_step_returns(rews, bootstrap, config.gamma))
+                x = features.cut(x)
                 xs, acts, rews = [], [], []
         returns.append(total)
-        if record_traces:
-            cells = np.array(ep_cells, dtype=np.int64)
-            trace = EpisodeTrace(
-                cells=cells,
-                states=np.array([env.config.encode(tuple(c)) for c in cells]),
-                reward_classes=np.array(ep_classes, dtype=np.int64),
-                scalar_rewards=np.array(ep_scalars),
-                symbols=np.array(ep_symbols, dtype=np.int64),
-                episode_return=total,
-            )
-            buffer.add(episode, trace)
-            if (episode + 1) % config.grounder_period == 0:
-                train_grounder(grounder_params, grounder, buffer.dataset(),
-                               epochs=config.grounder_epochs, optimizer=grounder_opt,
-                               rng=rng_grounder)
-    return returns
-
-
-class _ExactFeatures:
-    """Ground-truth machine state, one-hot; readable only by the rm agent."""
-
-    def __init__(self, env: GridWorld):
-        self.env = env
-
-    def reset(self):
-        return self.env.machine_state_onehot
-
-    def step(self, obs):
-        return self.env.machine_state_onehot
-
-
-def _rnn_agent_run(env: GridWorld, config: TrainConfig, rng_weights, rng_actions):
-    lstm = LSTM(rng_weights, 2, hidden=50, layers=2)
-    actor_head = MLP(rng_weights, (50, 120, 120, 4))
-    critic_head = MLP(rng_weights, (50, 120, 120, 1))
-    params = lstm.params() + actor_head.params() + critic_head.params()
-    optimizer = Adam(params, lr=config.lr)
-    returns = []
-    for _ in range(config.episodes):
-        obs = env.reset()
-        state = lstm.zero_state()
-        h, state = lstm.step(Value(np.asarray(obs, float)), state)
-        hs, acts, rews = [], [], []
-        total = 0.0
-        while not env.done:
-            probs = dk.softmax(actor_head.forward_numpy(h.data))
-            action = int(rng_actions.choice(len(probs), p=probs))
-            obs, reward, _, done = env.step(action)
-            total += reward
-            hs.append(h)
-            acts.append(action)
-            rews.append(reward)
-            h, state = lstm.step(Value(np.asarray(obs, float)), state)
-            if len(hs) == config.n_step or done:
-                bootstrap = 0.0 if done else float(critic_head.forward_numpy(h.data)[0])
-                batch = dk.stack(hs)
-                logits = actor_head(batch)
-                values = dk.reshape(critic_head(batch), (len(hs),))
-                total_loss, _ = a2c_losses(logits, values, acts,
-                                           n_step_returns(rews, bootstrap, config.gamma), config)
-                optimizer.zero_grad()
-                total_loss.backward()
-                clip_grad_norm(params, config.grad_clip)
-                optimizer.step()
-                # cut the recurrent graph at the update boundary
-                h = h.detach()
-                state = LSTM.detach_state(state)
-                hs, acts, rews = [], [], []
-        returns.append(total)
+        if end_episode is not None:
+            end_episode(episode, steps, total)
     return returns
 
 
@@ -306,15 +294,14 @@ def run_single(task, agent_kind: str, config: TrainConfig, grid_config: GridConf
     env = GridWorld(grid_config, machine)
     rng_weights, rng_actions, rng_grounder = spawn_rngs(seed, 3)
     if agent_kind == "rm":
-        return _mlp_agent_run(env, _ExactFeatures(env), False, config,
-                              rng_weights, rng_actions, rng_grounder)
+        return _agent_run(env, _MachineFeatures(env), config, rng_weights, rng_actions)
     if agent_kind == "rnn":
-        return _rnn_agent_run(env, config, rng_weights, rng_actions)
+        return _agent_run(env, _LSTMFeatures(rng_weights), config, rng_weights, rng_actions)
     grounder = Grounder(rng_weights, 2, len(machine.alphabet), hidden=config.grounder_hidden)
     params = params_from_machine(machine)
-    return _mlp_agent_run(env, MachineStateTracker(params, grounder), True, config,
-                          rng_weights, rng_actions, rng_grounder,
-                          grounder=grounder, grounder_params=params)
+    refit = _grounder_refit(config, grid_config, grounder, params, rng_grounder)
+    return _agent_run(env, _MachineFeatures(env, MachineStateTracker(params, grounder)), config,
+                      rng_weights, rng_actions, end_episode=refit)
 
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,22 @@ def test_install_then_uninstall_restores_every_attribute():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is orig for (owner, attr), orig in zip(owners, before))
+
+
+def test_tracer_sees_every_agent_update_and_action():
+    from rmkit import training
+    from rmkit.gridworld import DEFAULT_CONFIG
+
+    tracer = tracing.Tracer()
+    config = training.TrainConfig(episodes=2)
+    tracer.install()
+    try:
+        for kind in training.AGENT_KINDS:
+            training.run_single(1, kind, config, DEFAULT_CONFIG, 0)
+    finally:
+        tracer.uninstall()
+    runs = [i for i, span in enumerate(tracer.spans) if span[0] == "training.run"]
+    assert len(runs) == len(training.AGENT_KINDS)
+    for kind, run in zip(training.AGENT_KINDS, runs):
+        names = {span[0] for span in tracer.spans if span[4] == run}
+        assert {"training.update", "training.act"} <= names, kind

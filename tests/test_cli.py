@@ -201,6 +201,48 @@ class TestTrain:
         assert not (tmp_path / "out").exists()
 
 
+class TestBadArguments:
+    """Flag values and output paths that must end in exit 1 or 2 with a message."""
+
+    @pytest.fixture
+    def files(self, tmp_path, task1_machine_file, task_machines):
+        traces = tmp_path / "traces.csv"
+        traces.write_text(traces_to_csv(synth_dataset(DEFAULT_CONFIG, task_machines[1], n=2)))
+        (tmp_path / "afile").write_text("")
+        return {"tmp": tmp_path, "mm": task1_machine_file, "traces": traces}
+
+    _TRAIN = "train --task 1 --agent rm --episodes 1 --out {tmp}/o"
+    _GROUND = "ground --machine {mm} --traces {traces} --epochs 1"
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (_TRAIN + " --seeds a", 1, "--seeds wants comma-separated integers, got 'a'"),
+        (_TRAIN + " --seeds 0,,1", 1, "--seeds wants comma-separated integers, got '0,,1'"),
+        (_TRAIN + " --seeds=-1", 2, "none negative"),
+        ("train --task 1 --agent rm --episodes 0 --out {tmp}/o", 2, "must all be positive"),
+        ("train --task 1 --agent rm --episodes 1 --seeds 0 --out {tmp}/afile/o", 2,
+         "cannot write {tmp}/afile/o: Not a directory"),
+        (_GROUND + " --hidden -1 --out {tmp}/g.npz", 1, "--hidden >= 1"),
+        (_GROUND + " --hidden 0 --out {tmp}/g.npz", 1, "--hidden >= 1"),
+        (_GROUND + " --seed=-1 --out {tmp}/g.npz", 1, "--seed >= 0"),
+        (_GROUND + " --out {tmp}/missing/g.npz", 2, "cannot write {tmp}/missing/g.npz"),
+        ("urs --machine {mm} --out {tmp}/missing/r.csv", 2, "cannot write {tmp}/missing/r.csv"),
+        ("compile --formula F(a) --machine {tmp}/missing/m.mm", 2,
+         "cannot write {tmp}/missing/m.mm: No such file or directory"),
+    ])
+    def test_exits_with_a_message(self, files, capsys, argv, code, message):
+        assert main([arg.format(**files) for arg in argv.split()]) == code
+        assert message.format(**files) in capsys.readouterr().err
+        assert not (files["tmp"] / "o").exists()
+
+    def test_oversized_urs_search_is_a_data_error(self, tmp_path, capsys):
+        mm = tmp_path / "big.mm"
+        machine = compile_formula("G(!s0)", tuple(f"s{i}" for i in range(12)))
+        mm.write_text(automata.serialize(machine))
+        assert main(["urs", "--machine", str(mm), "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"{11**11} renamings pass level 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestPlot:
     def test_single_csv_single_line(self, tmp_path):
         csv = tmp_path / "r.csv"
@@ -380,3 +422,14 @@ def test_fuzz_grid_map(config, mutate, pos, char, task, agent):
         code = main(["train", "--task", task, "--agent", agent, "--map", str(grid),
                      "--episodes", "1", "--seeds", "0", "--out", str(Path(tmp) / "out")])
         assert code in (0, 1, 2)
+
+
+_formula_token = st.sampled_from(["F", "G", "X", "U", "(", ")", "&", "|", "!", "->", " ",
+                                  "a", "b", "c", "e", "z", "s0", "true", "false", "F(", "1"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tokens=st.lists(_formula_token, max_size=12),
+       alphabet=st.sampled_from(["a,b,c,d,e", "a", "a,b", "a,a", "", ",", "s0,s1", "a,,b"]))
+def test_fuzz_compile_formula(tokens, alphabet):
+    assert main(["compile", "--formula", "".join(tokens), "--alphabet", alphabet]) in (0, 1, 2)

@@ -7,12 +7,15 @@ from rmkit.errors import InputError, MachineFormatError, UsageError
 from rmkit.formulas import compile_formula
 from rmkit.gridworld import (
     DEFAULT_CONFIG,
+    EpisodeTrace,
     GridConfig,
     GridWorld,
     make_eps_optimal_policy,
     parse_map,
     product_distances,
+    random_policy,
     reconstruct_reward_classes,
+    run_episode,
     synth_dataset,
     traces_from_csv,
     traces_to_csv,
@@ -233,6 +236,29 @@ class TestTextFormats:
             assert np.array_equal(t1.reward_classes, t2.reward_classes)
             assert np.array_equal(t1.scalar_rewards, t2.scalar_rewards)
             assert np.allclose(t1.states, t2.states)
+
+    def test_from_steps_matches_run_episode_and_csv_field_for_field(self, task_machines):
+        env = GridWorld(DEFAULT_CONFIG, task_machines[1])
+        rng = np.random.default_rng(17)
+        env.reset()
+        cells, classes, rewards, states, symbols = [], [], [], [], []
+        while not env.done:
+            obs, reward, cls, _ = env.step(random_policy(env.cell, env.q, rng))
+            cells.append(env.cell)
+            classes.append(cls)
+            rewards.append(reward)
+            states.append(obs)
+            symbols.append(DEFAULT_CONFIG.label(env.cell))
+        built = EpisodeTrace.from_steps(DEFAULT_CONFIG, cells, classes, rewards, sum(rewards))
+        rolled = run_episode(env, random_policy, np.random.default_rng(17))
+        parsed, = traces_from_csv(traces_to_csv([rolled]), DEFAULT_CONFIG)
+        assert np.array_equal(built.states, np.array(states))
+        assert built.symbols.tolist() == symbols
+        for other in (rolled, parsed):
+            for field in ("cells", "states", "reward_classes", "scalar_rewards", "symbols"):
+                mine, theirs = getattr(built, field), getattr(other, field)
+                assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field
+            assert other.episode_return == built.episode_return
 
     def test_trace_csv_class_bound(self, task_machines):
         traces = synth_dataset(DEFAULT_CONFIG, task_machines[1], policy="random", n=2, seed=13)

@@ -18,6 +18,8 @@ from rmkit.automata import (
     relabel,
     shape_rewards,
 )
+from rmkit import shortcuts
+from rmkit.errors import InputError
 from rmkit.formulas import compile_formula
 from rmkit.shortcuts import (
     apply_map,
@@ -99,12 +101,6 @@ class TestFindUrs:
             base = find_urs(m).survivor_set()
             for sa, sl in ((False, True), (True, False), (False, False)):
                 assert find_urs(m, skip_absorbing=sa, skip_selfloop=sl).survivor_set() == base
-
-    def test_jobs_partitioning_is_neutral(self, task_machines):
-        m = task_machines[1]
-        one, two = find_urs(m), find_urs(m, jobs=2)
-        assert two.survivors() == one.survivors()
-        assert report_to_csv(two) == report_to_csv(one)
 
     def test_survivors_form_a_monoid(self, task_machines):
         # closed under composition and containing the identity
@@ -205,6 +201,17 @@ class TestLevelOneProduct:
         dead = np.flatnonzero(~report.survived)
         for i in rng.choice(dead, size=20, replace=False):
             assert not equivalent(m, relabel(m, tuple(report.candidates[i].tolist())))
+
+    def test_oversized_product_is_refused_before_allocation(self, compile_formula, monkeypatch):
+        # alpha(s0) = s0 and any other symbol to any of s1..s11 pass level 1: 11**11 renamings
+        m = compile_formula("G(!s0)", tuple(f"s{i}" for i in range(12)))
+
+        def no_alloc(images):
+            raise AssertionError("the level-1 product was built")
+
+        monkeypatch.setattr(shortcuts, "_product_array", no_alloc)
+        with pytest.raises(InputError, match=f"{11**11} renamings pass level 1"):
+            find_urs(m)
 
 
 class TestBoundedOracle:

@@ -195,6 +195,40 @@ class TestRuns:
         b = run_single(1, "rnn", cfg, DEFAULT_CONFIG, seed=0)
         assert a == b
 
+    @pytest.mark.parametrize("kind", ["rm", "nrm", "rnn"])
+    def test_every_update_goes_through_actor_critic_update(self, kind, monkeypatch):
+        from rmkit import networks, training
+
+        counts = {"backward": 0, "in_update": 0, "update": 0}
+        seen = {}
+        backward, update, lstm_step = Value.backward, ActorCriticNets.update, networks.LSTM.step
+
+        def counting_backward(self):
+            counts["backward"] += 1
+            return backward(self)
+
+        def counting_update(self, xs, actions, returns):
+            seen["nets"] = self
+            before = counts["backward"]
+            parts = update(self, xs, actions, returns)
+            counts["update"] += 1
+            counts["in_update"] += counts["backward"] - before
+            return parts
+
+        def recording_step(self, x, state):
+            seen["lstm"] = self
+            return lstm_step(self, x, state)
+
+        monkeypatch.setattr(Value, "backward", counting_backward)
+        monkeypatch.setattr(training.ActorCriticNets, "update", counting_update)
+        monkeypatch.setattr(networks.LSTM, "step", recording_step)
+        run_single(1, kind, TrainConfig(episodes=3, seeds=(0,)), DEFAULT_CONFIG, seed=0)
+        assert counts["update"] > 0
+        assert counts["backward"] == counts["in_update"] == counts["update"]
+        if kind == "rnn":
+            held = {id(p) for p in seen["nets"].optimizer.params}
+            assert all(id(p) in held for p in seen["lstm"].params())
+
     def test_unknown_agent(self):
         with pytest.raises(InputError):
             run_single(1, "dqn", TrainConfig(episodes=1), DEFAULT_CONFIG, 0)
