@@ -28,7 +28,6 @@ from .nrm import (
     forward,
     params_from_machine,
     pure_learning,
-    sg_loss,
     train_grounder,
     urs_corrected_accuracy,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "forward",
     "params_from_machine",
     "pure_learning",
-    "sg_loss",
     "train_grounder",
     "urs_corrected_accuracy",
     "enumerate_maps",

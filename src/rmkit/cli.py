@@ -168,8 +168,8 @@ def cmd_urs(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    if args.hidden < 1 or args.seed < 0:
-        raise UsageError("ground needs --hidden >= 1 and --seed >= 0")
+    if args.hidden < 1 or args.seed < 0 or args.epochs < 1:
+        raise UsageError("ground needs --hidden >= 1, --seed >= 0 and --epochs >= 1")
     machine = automata.deserialize(_read(args.machine))
     grid = _load_grid(args)
     traces = gridworld.traces_from_csv(_read(args.traces), grid,

@@ -129,38 +129,3 @@ def parse_experiment_config(text: str) -> dict:
         "train": train,
         "grid": grid,
     }
-
-
-def format_experiment_config(task, agent, train: TrainConfig, grid: GridConfig) -> str:
-    """Inverse of :func:`parse_experiment_config` for the non-default fields."""
-    lines = [CONFIG_HEADER]
-    if task is not None:
-        lines.append(f"task = {task}")
-    if agent is not None:
-        lines.append(f"agent = {agent}")
-    default_train = TrainConfig()
-    train_lines = []
-    for f in fields(TrainConfig):
-        value = getattr(train, f.name)
-        if value != getattr(default_train, f.name):
-            text = ",".join(str(s) for s in value) if f.name == "seeds" else str(value)
-            train_lines.append(f"{f.name} = {text}")
-    if train_lines:
-        lines.append("[train]")
-        lines.extend(train_lines)
-    default_grid = GridConfig()
-    grid_lines = []
-    for name in _GRID_SIMPLE_KEYS:
-        if getattr(grid, name) != getattr(default_grid, name):
-            grid_lines.append(f"{name} = {getattr(grid, name)}")
-    if grid.start != default_grid.start:
-        grid_lines.append(f"start = {grid.start[0]},{grid.start[1]}")
-    if grid.items != default_grid.items:
-        items = " ".join(f"{sym}@{x},{y}" for (x, y), sym in grid.items)
-        grid_lines.append(f"items = {items}")
-    if grid.alphabet != default_grid.alphabet:
-        grid_lines.append("alphabet = " + ",".join(grid.alphabet))
-    if grid_lines:
-        lines.append("[grid]")
-        lines.extend(grid_lines)
-    return "\n".join(lines) + "\n"

@@ -6,7 +6,9 @@ the recorded graph in reverse topological order and then releases it.
 Shapes up to three axes are supported, which covers everything the package
 needs: MLPs, LSTM cells, and the probabilistic machine recurrence.
 :func:`dense` and :func:`softmax` also take a plain array and then return
-one, recording nothing: the graph-free mode the agent loop runs in.
+one, recording nothing: the graph-free mode the agent loop runs in, where
+the rnn agent steps its LSTM with :func:`lstm_cell` and records each update
+window as one :func:`lstm_scan` node.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -37,9 +39,6 @@ class Value:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Value":
-        return Value(self.data.copy())
 
     def __repr__(self):
         return f"Value(shape={self.data.shape})"
@@ -445,9 +444,11 @@ def pmm_scan(q0, p, m) -> Value:
     ``q0`` is ``[B, Q]``, ``p`` is ``[B, T, P]`` and ``m`` the ``[P, Q, Q]``
     transition stack, either a constant array (machine known and frozen) or
     a Value (machine being learned); the result stacks q(0..T-1) as
-    ``[B, T, Q]``.  Backward is the reverse recursion of HMM
-    forward-backward: one loop carries dL/dq(t) from T-1 down to 0, then the
-    gradients of ``p``, ``m`` and ``q0`` follow for all steps at once.
+    ``[B, T, Q]``.  Every step's matrix ``A(t) = sum_i p[:, t, i] * M[i]``
+    comes from one matmul, so each step is a batched vector-matrix product.
+    Backward is the reverse recursion of HMM forward-backward: one loop
+    carries dL/dq(t) from T-1 down to 0, then the gradients of ``p`` and
+    ``m`` follow from one product each.
     """
     q0_val = q0 if isinstance(q0, Value) else None
     p_val = p if isinstance(p, Value) else None
@@ -460,11 +461,14 @@ def pmm_scan(q0, p, m) -> Value:
             and m_data.shape == (p_data.shape[2],) + 2 * q0_data.shape[1:]):
         raise InputError(f"pmm_scan wants q0 [B, Q], p [B, T>=1, P] and m [P, Q, Q], got "
                          f"{q0_data.shape}, {p_data.shape} and {m_data.shape}")
-    t_len = p_data.shape[1]
-    pt = np.ascontiguousarray(p_data.transpose(1, 0, 2))  # [T, B, P], one row block per step
+    b, t_len, n_p = p_data.shape
+    n_q = q0_data.shape[1]
+    p_flat = p_data.reshape(b * t_len, n_p)
+    m_flat = m_data.reshape(n_p, n_q * n_q)
+    a = (p_flat @ m_flat).reshape(b, t_len, n_q, n_q)  # A(t) = sum_i p[:, t, i] * M[i]
     qs = [q0_data]  # qs[t] = q(t-1)
     for t in range(t_len):
-        qs.append(np.einsum("bi,bq,iqo->bo", pt[t], qs[t], m_data))
+        qs.append((qs[t][:, None] @ a[:, t])[:, 0])
     parents = tuple(v for v in (q0_val, p_val, m_val) if v is not None)
     out = Value(np.stack(qs[1:], axis=1), parents)
 
@@ -473,17 +477,98 @@ def pmm_scan(q0, p, m) -> Value:
         gq = g[:, -1].copy()  # dL/dq(T-1), contiguous like every later carry
         carried = [gq]
         for t in range(t_len - 1, 0, -1):
-            gq = g[:, t - 1] + np.einsum("bi,iqo,bo->bq", pt[t], m_data, gq)
+            gq = g[:, t - 1] + (a[:, t] @ gq[..., None])[..., 0]
             carried.append(gq)
-        g_all = np.stack(carried[::-1])  # [T, B, Q]: dL/dq(t)
-        q_prev = np.stack(qs[:-1])  # [T, B, Q]: q(t-1)
+        g_all = np.stack(carried[::-1], axis=1)  # [B, T, Q]: dL/dq(t)
+        q_prev = np.stack(qs[:-1], axis=1)  # [B, T, Q]: q(t-1)
+        # dL/dA(t)[q, o] = q(t-1)[q] * dL/dq(t)[o], one [B*T, Q*Q] row per step
+        g_a = (q_prev[..., :, None] * g_all[..., None, :]).reshape(b * t_len, n_q * n_q)
         if p_val is not None:
-            gp = np.einsum("tbq,iqo,tbo->tbi", q_prev, m_data, g_all)
-            _accum(p_val, gp.transpose(1, 0, 2))
+            _accum(p_val, (g_a @ m_flat.T).reshape(b, t_len, n_p))
         if m_val is not None:
-            _accum(m_val, np.einsum("tbi,tbq,tbo->iqo", pt, q_prev, g_all))
+            _accum(m_val, (p_flat.T @ g_a).reshape(m_data.shape))
         if q0_val is not None:
-            _accum(q0_val, np.einsum("bi,iqo,bo->bq", pt[0], m_data, g_all[0]))
+            _accum(q0_val, (a[:, 0] @ g_all[:, 0, :, None])[..., 0])
+
+    out._backward = backward
+    return out
+
+
+def gather_rows(a: Value, index) -> Value:
+    """Rows ``a[index]`` of a ``[U, k]`` Value; backward sums each source row's grads."""
+    a = _wrap(a)
+    index = np.asarray(index, dtype=np.int64)
+    out = Value(a.data[index], (a,))
+
+    def backward():
+        rows = a.data.shape[0]
+        _accum(a, np.stack([np.bincount(index, col, rows) for col in out.grad.T], axis=1))
+
+    out._backward = backward
+    return out
+
+
+def lstm_cell(x, h, c, wx, wh, b):
+    """One LSTM step on plain arrays; gates [i, f, g, o] fused in ``wx``, ``wh``, ``b``.
+
+    Returns the new ``h`` and ``c`` and the activations (i, f, g, o,
+    tanh(c)) that :func:`lstm_scan`'s backward reads.
+    """
+    z = ((x @ wx + h @ wh) + b).reshape(4, -1)
+    i, f, _, o = 1.0 / (1.0 + np.exp(-z))  # one pass over all four rows; row 2 is unused
+    g = np.tanh(z[2])
+    c = f * c + i * g
+    tc = np.tanh(c)
+    return o * tc, c, (i, f, g, o, tc)
+
+
+def lstm_scan(h0, c0, xs, wx: Value, wh: Value, b: Value) -> Value:
+    """One LSTM layer over a window ``xs`` (``[T, in]``, array or Value) as one node.
+
+    Runs :func:`lstm_cell` from the constant boundary state ``(h0, c0)`` and
+    returns the hidden states as ``[T, H]``: backprop through time truncated
+    at the window's start.  Backward is one reverse loop carrying dL/dh and
+    dL/dc; it adds each step's grads of ``b``, ``wh``, ``wx`` and ``xs`` in
+    reverse time order with the same expressions as the chained
+    matmul/sigmoid/tanh ops, so the gradients are the same bits.
+    """
+    x_val = xs if isinstance(xs, Value) else None
+    x_data = x_val.data if x_val is not None else np.asarray(xs, dtype=np.float64)
+    if x_data.ndim != 2 or x_data.shape[0] == 0 or x_data.shape[1] != wx.data.shape[0]:
+        raise InputError(f"lstm_scan wants xs [T>=1, {wx.data.shape[0]}], got {x_data.shape}")
+    hs, cs, acts = [np.asarray(h0, dtype=np.float64)], [np.asarray(c0, dtype=np.float64)], []
+    for x in x_data:
+        h, c, act = lstm_cell(x, hs[-1], cs[-1], wx.data, wh.data, b.data)
+        hs.append(h)
+        cs.append(c)
+        acts.append(act)
+    parents = (wx, wh, b) if x_val is None else (x_val, wx, wh, b)
+    out = Value(np.stack(hs[1:]), parents)
+
+    def backward():
+        gx = None if x_val is None else np.empty_like(x_data)
+        dh_next = dc_next = None
+        for t in range(len(acts) - 1, -1, -1):
+            i, f, g, o, tc = acts[t]
+            dh = out.grad[t] if dh_next is None else out.grad[t] + dh_next
+            dc = dh * o * (1.0 - tc**2)
+            if dc_next is not None:
+                dc = dc + dc_next
+            dz = np.empty((4, i.size))
+            dz[0] = dc * g * i * (1.0 - i)
+            dz[1] = dc * cs[t] * f * (1.0 - f)
+            dz[2] = dc * i * (1.0 - g**2)
+            dz[3] = dh * tc * o * (1.0 - o)
+            dz = dz.reshape(-1)
+            _accum(b, dz)
+            _accum(wh, np.outer(hs[t], dz))
+            _accum(wx, np.outer(x_data[t], dz))
+            if gx is not None:
+                gx[t] = dz @ wx.data.T
+            dh_next = dz @ wh.data.T
+            dc_next = dc * f
+        if gx is not None:
+            _accum(x_val, gx)
 
     out._backward = backward
     return out

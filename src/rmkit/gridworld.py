@@ -278,21 +278,6 @@ def synth_dataset(config: GridConfig, machine: MooreMachine, policy: str = "mixt
     return traces
 
 
-def reconstruct_reward_classes(scalar_rewards, machine: MooreMachine) -> np.ndarray:
-    """Recover per-step reward classes from cumulative shaped reward.
-
-    The scalar stream telescopes the potential, so the running sum pins the
-    level at every step; the machine's class list maps levels to indices.
-    """
-    levels = [machine.label_of(q) for q in machine.states]
-    pot_start = levels[machine.initial]
-    scale = 100.0 / (max(levels) - pot_start)
-    level_index = {lv: machine.output_classes.index(lv) for lv in set(levels)}
-    cumulative = np.cumsum(np.asarray(scalar_rewards, dtype=np.float64))
-    recovered = np.rint(cumulative / scale + pot_start).astype(np.int64)
-    return np.array([level_index[int(lv)] for lv in recovered], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # text formats
 

@@ -7,14 +7,15 @@ softmax, and the recurrent baseline is a two-layer LSTM of width 50.
 
 Each feed-forward network has one forward: a Value in records a graph for
 training, a plain array in gives a plain array, the agent loop's mode.
+The LSTM steps on plain arrays only and records a graph only when a whole
+window is rerun for an update.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffkit import Value, dense, matmul, reshape, sigmoid, softmax, take, tanh
-from .errors import MachineFormatError
+from .diffkit import Value, dense, lstm_cell, lstm_scan, softmax
 
 CKPT_VERSION = 1
 
@@ -97,7 +98,7 @@ class OneHotGrounder:
 
 
 class LSTMCell:
-    """Gates are fused: one [in, 4H] and one [H, 4H] matmul per step."""
+    """One layer's weights; gates are fused: one [in, 4H] and one [H, 4H] matmul per step."""
 
     def __init__(self, rng, n_in: int, hidden: int):
         self.hidden = hidden
@@ -106,46 +107,36 @@ class LSTMCell:
         self.wh = Value(rng.uniform(-bound, bound, size=(hidden, 4 * hidden)))
         self.b = Value(np.zeros(4 * hidden))
 
-    def __call__(self, x: Value, state):
-        h, c = state
-        gates = reshape(matmul(x, self.wx) + matmul(h, self.wh) + self.b, (4, self.hidden))
-        i = sigmoid(take(gates, 0))
-        f = sigmoid(take(gates, 1))
-        g = tanh(take(gates, 2))
-        o = sigmoid(take(gates, 3))
-        c_new = f * c + i * g
-        h_new = o * tanh(c_new)
-        return h_new, c_new
-
-    def zero_state(self):
-        return Value(np.zeros(self.hidden)), Value(np.zeros(self.hidden))
-
     def params(self) -> list[Value]:
         return [self.wx, self.wh, self.b]
 
 
 class LSTM:
-    """Stacked LSTM (two layers of 50 by default) exposing per-step stepping."""
+    """Stacked LSTM (two layers of 50 by default).
+
+    ``step`` advances one time step on plain arrays, recording nothing; ``scan``
+    reruns a window of inputs from a state as one graph node per layer.
+    """
 
     def __init__(self, rng, n_in: int, hidden: int = 50, layers: int = 2):
         sizes = [n_in] + [hidden] * layers
         self.cells = [LSTMCell(rng, sizes[i], hidden) for i in range(layers)]
 
     def zero_state(self):
-        return [cell.zero_state() for cell in self.cells]
+        return [(np.zeros(cell.hidden), np.zeros(cell.hidden)) for cell in self.cells]
 
-    def step(self, x: Value, state):
+    def step(self, x: np.ndarray, state):
         new_state = []
-        inp = x
-        for cell, st in zip(self.cells, state):
-            h, c = cell(inp, st)
-            new_state.append((h, c))
-            inp = h
-        return inp, new_state
+        for cell, (h, c) in zip(self.cells, state):
+            x, c, _ = lstm_cell(x, h, c, cell.wx.data, cell.wh.data, cell.b.data)
+            new_state.append((x, c))
+        return x, new_state
 
-    @staticmethod
-    def detach_state(state):
-        return [(h.detach(), c.detach()) for h, c in state]
+    def scan(self, state, xs) -> Value:
+        """Top-layer hidden states ``[T, H]`` over inputs ``xs`` ``[T, in]`` from ``state``."""
+        for cell, (h, c) in zip(self.cells, state):
+            xs = lstm_scan(h, c, xs, cell.wx, cell.wh, cell.b)
+        return xs
 
     def params(self) -> list[Value]:
         return [p for cell in self.cells for p in cell.params()]
@@ -167,23 +158,3 @@ def save_params(path, named_params: dict[str, Value], meta: dict | None = None):
     arrays["__meta__"] = np.array([f"{k}={v}" for k, v in meta_items], dtype=np.str_)
     arrays["__version__"] = np.array([CKPT_VERSION])
     np.savez(path, **arrays)
-
-
-def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    with np.load(path, allow_pickle=False) as data:
-        if "__version__" not in data or int(data["__version__"][0]) != CKPT_VERSION:
-            raise MachineFormatError(f"unsupported checkpoint version in {path}")
-        params = {
-            key[len("param::"):]: data[key] for key in data.files if key.startswith("param::")
-        }
-        meta = dict(item.split("=", 1) for item in data["__meta__"].tolist())
-    return params, meta
-
-
-def assign_params(named_params: dict[str, Value], arrays: dict[str, np.ndarray]):
-    for name, p in named_params.items():
-        if name not in arrays:
-            raise MachineFormatError(f"checkpoint missing parameter {name!r}")
-        if arrays[name].shape != p.data.shape:
-            raise MachineFormatError(f"checkpoint shape mismatch for {name!r}")
-        p.data = arrays[name].astype(np.float64)

@@ -125,14 +125,23 @@ def forward(params: ProbMachineParams, grounder, x_s) -> ProbTraces:
                         for v in (traces.symbols, traces.states, traces.rewards)))
 
 
-def forward_batch(params: ProbMachineParams, grounder, xs) -> ProbTraces:
-    """Batched forward over equal-length sequences ``[B, T, d]``."""
+def forward_batch(params: ProbMachineParams, grounder, xs, cells=None) -> ProbTraces:
+    """Batched forward over equal-length sequences ``[B, T, d]``.
+
+    ``cells``, the ``(rows, inverse)`` of :func:`distinct_rows` over ``xs``'s
+    ``[B*T, d]`` rows, runs the grounder once per distinct row and gathers;
+    the forward values are the same, and each row's grads are summed first.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[1] == 0:
         raise InputError("xs must be [B, T, d] with T >= 1")
     b, t_len, d = xs.shape
     mt_eff, mr_eff = params.machine_tensors()
-    flat = grounder(Value(xs.reshape(b * t_len, d)))
+    if cells is None:
+        flat = grounder(Value(xs.reshape(b * t_len, d)))
+    else:
+        rows, inverse = cells
+        flat = dk.gather_rows(grounder(Value(rows)), inverse)
     k = flat.data.shape[-1]
     if k != len(params.alphabet):
         raise InputError("grounder output width must match the alphabet")
@@ -170,14 +179,14 @@ class MachineStateTracker:
 # losses and training
 
 
-def sg_loss(params: ProbMachineParams, grounder, trace) -> Value:
-    """Mean per-step cross-entropy between predicted reward probabilities
-    and the trace's observed reward-class indices."""
-    traces = forward(params, grounder, trace.states)
-    return dk.cross_entropy(traces.rewards, np.asarray(trace.reward_classes, dtype=np.int64))
+def distinct_rows(xs: np.ndarray):
+    """The distinct ``[d]`` rows of ``xs`` ``[B, T, d]`` and each row's index into them."""
+    rows, inverse = np.unique(xs.reshape(-1, xs.shape[-1]), axis=0, return_inverse=True)
+    return rows, inverse.reshape(-1)
 
 
 def _grouped_by_length(dataset):
+    """``(xs, ys, cells)`` per trace length: states, reward classes, distinct rows."""
     groups: dict[int, list] = {}
     for trace in dataset:
         groups.setdefault(len(trace.reward_classes), []).append(trace)
@@ -186,15 +195,15 @@ def _grouped_by_length(dataset):
         traces = groups[t_len]
         xs = np.stack([np.asarray(tr.states, dtype=np.float64) for tr in traces])
         ys = np.stack([np.asarray(tr.reward_classes, dtype=np.int64) for tr in traces])
-        out.append((xs, ys))
+        out.append((xs, ys, distinct_rows(xs)))
     return out
 
 
 def dataset_loss(params: ProbMachineParams, grounder, dataset) -> float:
     """Mean per-step loss of a trace dataset (evaluation only)."""
     total, steps = 0.0, 0
-    for xs, ys in _grouped_by_length(dataset):
-        traces = forward_batch(params, grounder, xs)
+    for xs, ys, cells in _grouped_by_length(dataset):
+        traces = forward_batch(params, grounder, xs, cells)
         loss = dk.cross_entropy(traces.rewards, ys)
         n = ys.size
         total += loss.item() * n
@@ -226,9 +235,9 @@ def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 1
         order = rng.permutation(len(groups))
         total, steps = 0.0, 0
         for gi in order:
-            xs, ys = groups[gi]
+            xs, ys, cells = groups[gi]
             optimizer.zero_grad()
-            traces = forward_batch(params, grounder, xs)
+            traces = forward_batch(params, grounder, xs, cells)
             loss = dk.cross_entropy(traces.rewards, ys)
             loss.backward()
             optimizer.step()
@@ -266,9 +275,9 @@ def pure_learning(dataset, n_states: int, alphabet, output_classes, grounder=Non
     for epoch in range(epochs):
         params.tau = tau_schedule(epoch)
         for gi in rng.permutation(len(groups)):
-            xs, ys = groups[gi]
+            xs, ys, cells = groups[gi]
             optimizer.zero_grad()
-            traces = forward_batch(params, grounder, xs)
+            traces = forward_batch(params, grounder, xs, cells)
             loss = dk.cross_entropy(traces.rewards, ys)
             loss.backward()
             optimizer.step()

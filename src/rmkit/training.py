@@ -72,8 +72,8 @@ class TrainConfig:
             raise InputError("grounder_hidden must be at least 1")
         if not 0 < self.grounder_lr < np.inf:
             raise InputError("grounder_lr must be positive and finite")
-        if not self.seeds or min(self.seeds) < 0:
-            raise InputError("seeds must name at least one seed, none negative")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise InputError("seeds must name at least one seed, none negative or repeated")
 
 
 def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
@@ -134,10 +134,10 @@ class ActorCriticNets:
     def state_value(self, x: np.ndarray) -> float:
         return float(self.critic.forward_numpy(x)[0])
 
-    def update(self, xs, actions, returns) -> dict:
-        batch = dk.stack(xs)
+    def update(self, batch: Value, actions, returns) -> dict:
+        """One A2C step on a ``[T, d]`` batch Value of features (``features.batch``)."""
         logits = self.actor(batch)
-        values = dk.reshape(self.critic(batch), (len(xs),))
+        values = dk.reshape(self.critic(batch), (batch.data.shape[0],))
         total, parts = a2c_losses(logits, values, actions, returns, self.config)
         self.optimizer.zero_grad()
         total.backward()
@@ -188,20 +188,29 @@ class _MachineFeatures:
         self.tracker = tracker
         self.dim = 2 + env.machine.n_states
 
-    def reset(self, obs) -> Value:
+    def reset(self, obs) -> np.ndarray:
         q = self.env.machine_state_onehot if self.tracker is None else self.tracker.reset()
-        return Value(augment_input(obs, q))
+        return augment_input(obs, q)
 
-    def step(self, obs) -> Value:
+    def step(self, obs) -> np.ndarray:
         q = self.env.machine_state_onehot if self.tracker is None else self.tracker.step(obs)
-        return Value(augment_input(obs, q))
+        return augment_input(obs, q)
 
-    def cut(self, x: Value) -> Value:
-        return x
+    def batch(self, xs) -> Value:
+        return dk.stack(xs)
+
+    def cut(self):
+        pass
 
 
 class _LSTMFeatures:
-    """rnn: the hidden state of a stacked LSTM run over the observations."""
+    """rnn: the hidden state of a stacked LSTM run over the observations.
+
+    Acting steps the LSTM on plain arrays.  An update reruns the window's
+    observations from the state at the last cut as one graph node per layer,
+    so backprop is truncated at each update.  After a cut the window's first
+    row is the detached ``h`` the last update bootstrapped from.
+    """
 
     dim = 50
 
@@ -209,18 +218,28 @@ class _LSTMFeatures:
         self.lstm = LSTM(rng, 2, hidden=self.dim, layers=2)
         self.params = self.lstm.params()
 
-    def reset(self, obs) -> Value:
+    def reset(self, obs) -> np.ndarray:
         self.state = self.lstm.zero_state()
+        # boundary state, observations since, detached rows leading the window
+        self.boundary, self.obs, self.head = self.state, [], 0
         return self.step(obs)
 
-    def step(self, obs) -> Value:
-        h, self.state = self.lstm.step(Value(np.asarray(obs, float)), self.state)
+    def step(self, obs) -> np.ndarray:
+        obs = np.asarray(obs, float)
+        self.obs.append(obs)
+        h, self.state = self.lstm.step(obs, self.state)
         return h
 
-    def cut(self, x: Value) -> Value:
-        """Truncate backprop at an update boundary."""
-        self.state = LSTM.detach_state(self.state)
-        return x.detach()
+    def batch(self, xs) -> Value:
+        head, rest = xs[:self.head], xs[self.head:]
+        parts = [Value(np.stack(head))] if head else []
+        if rest:
+            parts.append(self.lstm.scan(self.boundary, np.stack(self.obs[:len(rest)])))
+        return dk.concat(parts)
+
+    def cut(self):
+        """Start a new window at the current state."""
+        self.boundary, self.obs, self.head = self.state, [], 1
 
 
 def _grounder_refit(config: TrainConfig, grid: GridConfig, grounder, params, rng):
@@ -242,9 +261,11 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
                end_episode=None) -> list[float]:
     """The A2C episode loop of every agent kind; returns per-episode returns.
 
-    ``features`` turns observations into the Values the nets read (``reset``,
-    ``step``), cuts backprop after each update (``cut``) and has ``params`` to
-    train; ``end_episode(episode, steps, total)`` gets (cell, class, reward) steps.
+    ``features`` turns observations into the arrays the nets read (``reset``,
+    ``step``), builds an update window's ``[T, d]`` batch Value from them
+    (``batch``), starts a new window after each update (``cut``) and has
+    ``params`` to train; ``end_episode(episode, steps, total)`` gets
+    (cell, class, reward) steps.
     """
     nets = ActorCriticNets(rng_weights, features.dim, len(ACTIONS), config, features.params)
     returns = []
@@ -253,7 +274,7 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
         xs, acts, rews, steps = [], [], [], []
         total = 0.0
         while not env.done:
-            probs = nets.action_probs(x.data)
+            probs = nets.action_probs(x)
             action = int(rng_actions.choice(len(probs), p=probs))
             obs, reward, cls, done = env.step(action)
             total += reward
@@ -263,9 +284,9 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
             steps.append((env.cell, cls, reward))
             x = features.step(obs)
             if len(xs) == config.n_step or done:
-                bootstrap = 0.0 if done else nets.state_value(x.data)
-                nets.update(xs, acts, n_step_returns(rews, bootstrap, config.gamma))
-                x = features.cut(x)
+                bootstrap = 0.0 if done else nets.state_value(x)
+                nets.update(features.batch(xs), acts, n_step_returns(rews, bootstrap, config.gamma))
+                features.cut()
                 xs, acts, rews = [], [], []
         returns.append(total)
         if end_episode is not None:
@@ -335,7 +356,8 @@ def summary_to_csv(curves: dict[int, list[float]], window: int) -> str:
     sm = np.stack([smoothed(curves[s], window) for s in seeds])
     lines = ["episode,mean,min,max"]
     for i in range(sm.shape[1]):
-        lines.append(f"{i},{sm[:, i].mean()!r},{sm[:, i].min()!r},{sm[:, i].max()!r}")
+        col = sm[:, i]
+        lines.append(f"{i},{float(col.mean())!r},{float(col.min())!r},{float(col.max())!r}")
     return "\n".join(lines) + "\n"
 
 

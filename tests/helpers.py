@@ -3,16 +3,22 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import strategies as st
 
+from rmkit import diffkit as dk
 from rmkit import shortcuts
 from rmkit.automata import MooreMachine, minimize, run_string
+from rmkit.config import _GRID_SIMPLE_KEYS, CONFIG_HEADER
 from rmkit.diffkit import Value
+from rmkit.errors import MachineFormatError
 from rmkit.formulas import TASK_ALPHABET, TASK_FORMULAS
 from rmkit.gridworld import GridConfig
-from rmkit.networks import OneHotGrounder
+from rmkit.networks import CKPT_VERSION, OneHotGrounder
+from rmkit.nrm import forward
+from rmkit.training import TrainConfig
 
 # published shortcut counts for the eight tasks, identity included
 TASK_URS_COUNTS = {1: 54, 2: 24, 3: 27, 4: 4, 5: 8, 6: 8, 7: 4, 8: 4}
@@ -165,3 +171,97 @@ def full_table_urs(m: MooreMachine) -> tuple[list[tuple[int, ...]], str]:
         lines.append(f"{shortcuts.format_map(cand[i], m.alphabet)},{int(alive[i])},{int(iterations[i])}")
     lines.append(f"TOTAL,{len(survivors)},{levels}")
     return survivors, "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# references and inverses that only tests need
+
+
+def reconstruct_reward_classes(scalar_rewards, machine: MooreMachine) -> np.ndarray:
+    """Recover per-step reward classes from cumulative shaped reward.
+
+    The scalar stream telescopes the potential, so the running sum pins the
+    level at every step; the machine's class list maps levels to indices.
+    """
+    levels = [machine.label_of(q) for q in machine.states]
+    pot_start = levels[machine.initial]
+    scale = 100.0 / (max(levels) - pot_start)
+    level_index = {lv: machine.output_classes.index(lv) for lv in set(levels)}
+    cumulative = np.cumsum(np.asarray(scalar_rewards, dtype=np.float64))
+    recovered = np.rint(cumulative / scale + pot_start).astype(np.int64)
+    return np.array([level_index[int(lv)] for lv in recovered], dtype=np.int64)
+
+
+def format_experiment_config(task, agent, train: TrainConfig, grid: GridConfig) -> str:
+    """Inverse of :func:`parse_experiment_config` for the non-default fields."""
+    lines = [CONFIG_HEADER]
+    if task is not None:
+        lines.append(f"task = {task}")
+    if agent is not None:
+        lines.append(f"agent = {agent}")
+    default_train = TrainConfig()
+    train_lines = []
+    for f in fields(TrainConfig):
+        value = getattr(train, f.name)
+        if value != getattr(default_train, f.name):
+            text = ",".join(str(s) for s in value) if f.name == "seeds" else str(value)
+            train_lines.append(f"{f.name} = {text}")
+    if train_lines:
+        lines.append("[train]")
+        lines.extend(train_lines)
+    default_grid = GridConfig()
+    grid_lines = []
+    for name in _GRID_SIMPLE_KEYS:
+        if getattr(grid, name) != getattr(default_grid, name):
+            grid_lines.append(f"{name} = {getattr(grid, name)}")
+    if grid.start != default_grid.start:
+        grid_lines.append(f"start = {grid.start[0]},{grid.start[1]}")
+    if grid.items != default_grid.items:
+        items = " ".join(f"{sym}@{x},{y}" for (x, y), sym in grid.items)
+        grid_lines.append(f"items = {items}")
+    if grid.alphabet != default_grid.alphabet:
+        grid_lines.append("alphabet = " + ",".join(grid.alphabet))
+    if grid_lines:
+        lines.append("[grid]")
+        lines.extend(grid_lines)
+    return "\n".join(lines) + "\n"
+
+
+def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read a :func:`rmkit.networks.save_params` checkpoint: arrays and meta."""
+    with np.load(path, allow_pickle=False) as data:
+        if "__version__" not in data or int(data["__version__"][0]) != CKPT_VERSION:
+            raise MachineFormatError(f"unsupported checkpoint version in {path}")
+        params = {
+            key[len("param::"):]: data[key] for key in data.files if key.startswith("param::")
+        }
+        meta = dict(item.split("=", 1) for item in data["__meta__"].tolist())
+    return params, meta
+
+
+def assign_params(named_params: dict[str, Value], arrays: dict[str, np.ndarray]):
+    for name, p in named_params.items():
+        if name not in arrays:
+            raise MachineFormatError(f"checkpoint missing parameter {name!r}")
+        if arrays[name].shape != p.data.shape:
+            raise MachineFormatError(f"checkpoint shape mismatch for {name!r}")
+        p.data = arrays[name].astype(np.float64)
+
+
+def sg_loss(params, grounder, trace) -> Value:
+    """Mean per-step cross-entropy between predicted reward probabilities
+    and the trace's observed reward-class indices."""
+    traces = forward(params, grounder, trace.states)
+    return dk.cross_entropy(traces.rewards, np.asarray(trace.reward_classes, dtype=np.int64))
+
+
+def chained_lstm_cell(cell, x: Value, state):
+    """One LSTM step recorded op by op: the graph ``dk.lstm_scan`` fuses."""
+    h, c = state
+    gates = dk.reshape(dk.matmul(x, cell.wx) + dk.matmul(h, cell.wh) + cell.b, (4, cell.hidden))
+    i = dk.sigmoid(dk.take(gates, 0))
+    f = dk.sigmoid(dk.take(gates, 1))
+    g = dk.tanh(dk.take(gates, 2))
+    o = dk.sigmoid(dk.take(gates, 3))
+    c_new = f * c + i * g
+    return o * dk.tanh(c_new), c_new

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_configs, machines
+from helpers import format_experiment_config, grid_configs, load_params, machines
 from rmkit import automata, gridworld
 from rmkit.cli import main
-from rmkit.config import format_experiment_config, parse_experiment_config
+from rmkit.config import parse_experiment_config
 from rmkit.errors import MachineFormatError
 from rmkit.formulas import compile_formula
 from rmkit.gridworld import DEFAULT_CONFIG, synth_dataset, traces_to_csv
@@ -113,8 +113,6 @@ class TestGround:
         code = main(["ground", "--machine", str(task1_machine_file), "--traces", str(trace_file),
                      "--epochs", "3", "--out", str(ckpt)])
         assert code == 0
-        from rmkit.networks import load_params
-
         arrays, meta = load_params(ckpt)
         assert meta["kind"] == "grounder"
         assert len(arrays) == 6
@@ -224,6 +222,10 @@ class TestBadArguments:
         (_GROUND + " --hidden -1 --out {tmp}/g.npz", 1, "--hidden >= 1"),
         (_GROUND + " --hidden 0 --out {tmp}/g.npz", 1, "--hidden >= 1"),
         (_GROUND + " --seed=-1 --out {tmp}/g.npz", 1, "--seed >= 0"),
+        ("ground --machine {mm} --traces {traces} --epochs 0 --out {tmp}/g.npz", 1, "--epochs >= 1"),
+        ("ground --machine {mm} --traces {traces} --epochs=-3 --out {tmp}/g.npz", 1,
+         "--epochs >= 1"),
+        (_TRAIN + " --seeds 0,0", 2, "none negative or repeated"),
         (_GROUND + " --out {tmp}/missing/g.npz", 2, "cannot write {tmp}/missing/g.npz"),
         ("urs --machine {mm} --out {tmp}/missing/r.csv", 2, "cannot write {tmp}/missing/r.csv"),
         ("compile --formula F(a) --machine {tmp}/missing/m.mm", 2,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grad_close, numeric_grad
+from helpers import assert_grad_close, chained_lstm_cell, numeric_grad
 from rmkit.diffkit import (
     Adam,
     Value,
@@ -11,7 +11,9 @@ from rmkit.diffkit import (
     cross_entropy,
     dense,
     dropout,
+    gather_rows,
     log_softmax,
+    lstm_scan,
     matmul,
     mul,
     pmm_scan,
@@ -29,6 +31,7 @@ from rmkit.diffkit import (
     vsum,
 )
 from rmkit.errors import InputError, NumericsError
+from rmkit.networks import LSTM
 
 
 def check_op(build, *shapes, seed=0, rtol=1e-4):
@@ -182,6 +185,87 @@ class TestPmmScan:
             pmm_scan(np.ones((4, 3)), np.ones((4, 5, 3)), m)
         with pytest.raises(InputError):
             pmm_scan(np.ones((4, 3)), np.ones((4, 0, 2)), m)
+
+
+class TestLstmScan:
+    @staticmethod
+    def _net_and_state(layers, seed):
+        rng = np.random.default_rng(seed)
+        net = LSTM(rng, 3, hidden=4, layers=layers)
+        for p in net.params():  # nonzero biases reach every gate branch
+            p.data = rng.standard_normal(p.data.shape) * 0.7
+        state = [(rng.standard_normal(4) * 0.5, rng.standard_normal(4)) for _ in net.cells]
+        return net, state
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 4, 5])
+    def test_gradcheck(self, layers, t_len):
+        net, state = self._net_and_state(layers, 10 * layers + t_len)
+        rng = np.random.default_rng(t_len)
+        xs = Value(rng.standard_normal((t_len, 3)))
+        weights = rng.standard_normal((t_len, 4))
+
+        def loss():
+            return vsum(mul(net.scan(state, xs), weights))
+
+        loss().backward()
+        for p in net.params() + [xs]:
+            def f(arr, p=p):
+                saved = p.data
+                p.data = arr
+                out = loss().item()
+                p.data = saved
+                return out
+
+            assert_grad_close(p.grad, numeric_grad(f, p.data.copy()), rtol=1e-4)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_matches_chained_cell_bitwise(self, layers):
+        net, state = self._net_and_state(layers, 30 + layers)
+        rng = np.random.default_rng(31)
+        xs = rng.standard_normal((5, 3))
+        weights = rng.standard_normal((5, 4))
+        scan_in = Value(xs.copy())
+        scanned = net.scan(state, scan_in)
+        vsum(mul(scanned, weights)).backward()
+        scan_grads = [p.grad for p in net.params()] + [scan_in.grad]
+        for p in net.params():
+            p.grad = None
+        chain_in = [Value(x.copy()) for x in xs]
+        states = [(Value(h.copy()), Value(c.copy())) for h, c in state]
+        rows = []
+        for x in chain_in:
+            for k, cell in enumerate(net.cells):
+                states[k] = chained_lstm_cell(cell, x, states[k])
+                x = states[k][0]
+            rows.append(x)
+        chained = stack(rows)
+        vsum(mul(chained, weights)).backward()
+        chain_grads = [p.grad for p in net.params()] + [np.stack([x.grad for x in chain_in])]
+        assert np.array_equal(scanned.data, chained.data)
+        for a, b in zip(scan_grads, chain_grads):
+            assert np.array_equal(a, b)
+
+    def test_shape_mismatch(self):
+        net, state = self._net_and_state(1, 0)
+        cell = net.cells[0]
+        for xs in (np.zeros((0, 3)), np.zeros((2, 2)), np.zeros(3)):
+            with pytest.raises(InputError):
+                lstm_scan(*state[0], xs, cell.wx, cell.wh, cell.b)
+
+
+class TestGatherRows:
+    def test_gradcheck(self):
+        index = np.array([2, 0, 2, 1, 2, 0])
+        weights = np.random.default_rng(41).standard_normal((6, 4))
+        check_op(lambda a: vsum(mul(gather_rows(softmax(a), index), weights)), (3, 4))
+
+    def test_rows_and_summed_grads(self):
+        a = Value(np.arange(6.0).reshape(3, 2))
+        out = gather_rows(a, [1, 1, 0])
+        assert np.array_equal(out.data, [[2.0, 3.0], [2.0, 3.0], [0.0, 1.0]])
+        vsum(out).backward()
+        assert np.array_equal(a.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
 
 class TestDense:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import TASK_ALPHABET, TASK_FORMULAS, grid_configs
+from helpers import TASK_ALPHABET, TASK_FORMULAS, grid_configs, reconstruct_reward_classes
 from rmkit.errors import InputError, MachineFormatError, UsageError
 from rmkit.formulas import compile_formula
 from rmkit.gridworld import (
@@ -14,7 +14,6 @@ from rmkit.gridworld import (
     parse_map,
     product_distances,
     random_policy,
-    reconstruct_reward_classes,
     run_episode,
     synth_dataset,
     traces_from_csv,

@@ -1,17 +1,8 @@
 import numpy as np
 
-from helpers import assert_grad_close, numeric_grad
-from rmkit.diffkit import Value, cross_entropy, softmax, stack, vsum, mul
-from rmkit.networks import (
-    LSTM,
-    MLP,
-    Grounder,
-    OneHotGrounder,
-    assign_params,
-    augment_input,
-    load_params,
-    save_params,
-)
+from helpers import assert_grad_close, assign_params, load_params, numeric_grad
+from rmkit.diffkit import Value, cross_entropy, softmax, vsum, mul
+from rmkit.networks import LSTM, MLP, Grounder, OneHotGrounder, augment_input, save_params
 
 
 class TestMlps:
@@ -79,34 +70,30 @@ class TestLstm:
     def test_zero_input_zero_state_outputs_zero(self):
         rng = np.random.default_rng(6)
         net = LSTM(rng, 3, hidden=8)
-        h, _ = net.step(Value(np.zeros(3)), net.zero_state())
+        h, _ = net.step(np.zeros(3), net.zero_state())
         # biases are zero, so gates see zero pre-activations and tanh(0)=0
-        assert np.allclose(h.data, 0.0)
+        assert np.allclose(h, 0.0)
 
     def test_hidden_stays_bounded_over_long_sequence(self):
         rng = np.random.default_rng(7)
         net = LSTM(rng, 2, hidden=10)
         state = net.zero_state()
         for _ in range(200):
-            h, state = net.step(Value(rng.standard_normal(2)), state)
-        assert np.isfinite(h.data).all()
-        assert np.abs(h.data).max() <= 1.0  # tanh-bounded output
+            h, state = net.step(rng.standard_normal(2), state)
+        assert np.isfinite(h).all()
+        assert np.abs(h).max() <= 1.0  # tanh-bounded output
 
     def test_gradcheck_through_three_steps(self):
         rng = np.random.default_rng(8)
         net = LSTM(rng, 2, hidden=4, layers=2)
-        xs = [rng.standard_normal(2) for _ in range(3)]
+        xs = rng.standard_normal((3, 2))
 
         def loss_value():
-            state, outs = net.zero_state(), []
-            for x in xs:
-                h, state = net.step(Value(x), state)
-                outs.append(h)
-            return vsum(mul(stack(outs), 0.3))
+            return vsum(mul(net.scan(net.zero_state(), xs), 0.3))
 
         loss = loss_value()
         loss.backward()
-        for p in net.params()[:6]:  # spot-check a subset; full check is slow
+        for p in net.params():
             def f(arr, p=p):
                 saved = p.data
                 p.data = arr
@@ -116,12 +103,21 @@ class TestLstm:
 
             assert_grad_close(p.grad, numeric_grad(f, p.data.copy()), rtol=1e-4)
 
-    def test_detach_state_cuts_graph(self):
+    def test_scan_reruns_the_steps_bitwise(self):
         rng = np.random.default_rng(9)
-        net = LSTM(rng, 2, hidden=4)
-        _, state = net.step(Value(np.ones(2)), net.zero_state())
-        detached = LSTM.detach_state(state)
-        assert all(h._parents == () and c._parents == () for h, c in detached)
+        net = LSTM(rng, 2, hidden=4, layers=2)
+        xs = rng.standard_normal((6, 2))
+        state = net.zero_state()
+        for x in xs[:2]:
+            _, state = net.step(x, state)
+        rows, stepped = [], state
+        for x in xs[2:]:
+            h, stepped = net.step(x, stepped)
+            rows.append(h)
+        scanned = net.scan(state, xs[2:])
+        assert isinstance(h, np.ndarray)
+        assert np.array_equal(scanned.data, np.stack(rows))
+        assert all(p.grad is None for p in net.params())
 
 
 class TestAugment:

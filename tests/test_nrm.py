@@ -3,20 +3,27 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import assert_grad_close, numeric_grad, random_machine, random_string, visit_a_machine
+from helpers import (
+    assert_grad_close,
+    numeric_grad,
+    random_machine,
+    random_string,
+    sg_loss,
+    visit_a_machine,
+)
 from rmkit.automata import equivalent, minimize, run_string, shape_rewards
-from rmkit.diffkit import Adam, Value
+from rmkit.diffkit import Adam, Value, cross_entropy
 from rmkit.errors import InputError
 from rmkit.networks import Grounder, OneHotGrounder
 from rmkit.nrm import (
     MachineStateTracker,
+    distinct_rows,
     extract_machine,
     forward,
     forward_batch,
     params_from_machine,
     pure_learning,
     random_params,
-    sg_loss,
     train_grounder,
     traces_from_strings,
     urs_corrected_accuracy,
@@ -99,6 +106,27 @@ class TestForwardExactness:
             single = forward(params, g, xs[b])
             assert np.allclose(batched.states.data[b], single.states.data)
             assert np.allclose(batched.rewards.data[b], single.rewards.data)
+
+    def test_distinct_rows_forward_matches_full_rows(self, task_machines):
+        rng = np.random.default_rng(75)
+        params = params_from_machine(task_machines[1])
+        g = Grounder(rng, 2, 5, hidden=16)
+        xs = rng.integers(0, 5, size=(6, 9, 2)) / 4.0  # grid cells, many repeated
+        ys = rng.integers(0, len(params.output_classes), size=(6, 9))
+        cells = distinct_rows(xs)
+        assert len(cells[0]) <= 25
+        full = forward_batch(params, g, xs)
+        cross_entropy(full.rewards, ys).backward()
+        full_grads = [p.grad for p in g.params()]
+        for p in g.params():
+            p.grad = None
+        distinct = forward_batch(params, g, xs, cells)
+        cross_entropy(distinct.rewards, ys).backward()
+        for a, b in zip((full.symbols, full.states, full.rewards),
+                        (distinct.symbols, distinct.states, distinct.rewards)):
+            assert np.array_equal(a.data, b.data)
+        for a, p in zip(full_grads, g.params()):
+            assert np.allclose(a, p.grad, rtol=1e-12, atol=1e-15)
 
     def test_empty_sequence_rejected(self):
         m = shape_rewards(visit_a_machine())

@@ -53,6 +53,8 @@ class TestConfig:
         {"gamma": 7.0},
         {"gamma": 0.0},
         {"seeds": ()},
+        {"seeds": (0, 0)},
+        {"seeds": (2, 1, 2)},
     ])
     def test_rejects_invalid_grounder_and_seed_settings(self, bad):
         with pytest.raises(InputError):
@@ -122,10 +124,10 @@ class TestA2cPieces:
         cfg = TrainConfig(lr=3e-3)
         rng = np.random.default_rng(2)
         nets = ActorCriticNets(rng, 4, 3, cfg)
-        x = [np.array([0.1, 0.2, 0.3, 0.4])] * 5
+        batch = np.tile([0.1, 0.2, 0.3, 0.4], (5, 1))
         losses = []
         for _ in range(50):
-            parts = nets.update(x, [0] * 5, [10.0] * 5)
+            parts = nets.update(Value(batch), [0] * 5, [10.0] * 5)
             losses.append(parts["value"])
         assert losses[-1] < losses[0]
 
@@ -229,6 +231,22 @@ class TestRuns:
             held = {id(p) for p in seen["nets"].optimizer.params}
             assert all(id(p) in held for p in seen["lstm"].params())
 
+    def test_rnn_batch_reruns_the_acted_rows(self):
+        from rmkit.training import _LSTMFeatures
+
+        rng = np.random.default_rng(5)
+        features = _LSTMFeatures(np.random.default_rng(6))
+        acted = [features.reset(rng.random(2))] + [features.step(rng.random(2)) for _ in range(3)]
+        first = features.batch(acted[:3])  # the first window runs from the zero state
+        assert np.array_equal(first.data, np.stack(acted[:3]))
+        features.cut()
+        assert np.array_equal(features.batch(acted[3:]).data, acted[3:])  # head row only
+        acted = acted[3:] + [features.step(rng.random(2)) for _ in range(4)]
+        batch = features.batch(acted[:4])
+        assert np.array_equal(batch.data, np.stack(acted[:4]))
+        # the detached head row, then the rerun window as one node
+        assert len(batch._parents) == 2 and batch._parents[0]._parents == ()
+
     def test_unknown_agent(self):
         with pytest.raises(InputError):
             run_single(1, "dqn", TrainConfig(episodes=1), DEFAULT_CONFIG, 0)
@@ -264,3 +282,5 @@ class TestSmoothing:
         lines = text.strip().splitlines()
         assert lines[0] == "episode,mean,min,max"
         assert len(lines) == 4
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows == [[0.0, 2.0, 1.0, 3.0], [1.0, 2.0, 1.5, 2.5], [2.0, 2.0, 1.5, 2.5]]
