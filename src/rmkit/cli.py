@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import math
 import os
 import sys
 import time
@@ -136,6 +138,7 @@ def cmd_urs(args) -> int:
     print(f"algorithm time: {report.timings['total']:.4f}s over {report.levels} levels")
 
     oracle_spec = args.oracle.strip().lower()
+    agrees = True
     if oracle_spec != "none":
         t0 = time.perf_counter()
         if oracle_spec == "exact":
@@ -158,11 +161,10 @@ def cmd_urs(args) -> int:
         ]
         print(f"oracle ({oracle_spec}): {len(oracle_set)} maps in {oracle_seconds:.4f}s; "
               f"agreement: {agrees}")
-        if not agrees:
-            _write(args.out + ".timings.txt", "\n".join(timing_lines) + "\n")
-            print("oracle disagreement: investigate before trusting the report", file=sys.stderr)
-            return EXIT_DATA
     _write(args.out + ".timings.txt", "\n".join(timing_lines) + "\n")
+    if not agrees:
+        print("oracle disagreement: investigate before trusting the report", file=sys.stderr)
+        return EXIT_DATA
     print(f"report -> {args.out}")
     return EXIT_OK
 
@@ -208,13 +210,13 @@ def cmd_train(args) -> int:
     if not task or not agent:
         raise UsageError("train needs --task and --agent (flags or config file)")
     if args.episodes is not None:
-        train_cfg = training.short_config(train_cfg, args.episodes, train_cfg.seeds)
+        train_cfg = dataclasses.replace(train_cfg, episodes=args.episodes)
     if args.seeds:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(","))
         except ValueError:
             raise UsageError(f"--seeds wants comma-separated integers, got {args.seeds!r}") from None
-        train_cfg = training.short_config(train_cfg, train_cfg.episodes, seeds)
+        train_cfg = dataclasses.replace(train_cfg, seeds=seeds)
     with _file_errors(args.out, "write"):
         os.makedirs(args.out, exist_ok=True)  # fails before training, not after it
         result = training.run_experiment(task, agent, train_cfg, grid, out_dir=args.out,
@@ -230,16 +232,29 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _read_returns(path: str) -> list[float]:
+    """The return column of an ``episode,return`` CSV; any other data row is a data error."""
+    rows = [(n, ln) for n, ln in enumerate(_read(path).splitlines(), 1) if ln.strip()]
+    if len(rows) < 2 or rows[0][1] != "episode,return":
+        raise InputError(f"{path}: expected an 'episode,return' CSV with data rows")
+    returns = []
+    for n, ln in rows[1:]:
+        try:
+            episode, value = ln.split(",")
+            int(episode)
+            value = float(value)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise InputError(f"{path}, line {n}: want 'episode,<finite float>', got {ln!r}")
+        returns.append(value)
+    return returns
+
+
 def cmd_plot(args) -> int:
     if args.window < 1:
         raise UsageError(f"--window must be at least 1, got {args.window}")
-    series = []
-    for path in args.csv:
-        text = _read(path)
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2 or lines[0] != "episode,return":
-            raise InputError(f"{path}: expected an 'episode,return' CSV with data rows")
-        series.append([float(ln.split(",")[1]) for ln in lines[1:]])
+    series = [_read_returns(path) for path in args.csv]
     svg = plotting.svg_curves([("returns", series)], title=args.title, window=args.window)
     _write(args.out, svg)
     print(f"plot -> {args.out}")

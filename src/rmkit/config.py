@@ -33,8 +33,6 @@ _GRID_SIMPLE_KEYS = ("width", "height", "t_max", "empty_symbol")
 
 
 def _parse_scalar(key: str, raw: str, like) -> object:
-    if isinstance(like, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(like, int):
         return _number(key, raw, int)
     if isinstance(like, float):

@@ -528,9 +528,9 @@ def lstm_scan(h0, c0, xs, wx: Value, wh: Value, b: Value) -> Value:
     Runs :func:`lstm_cell` from the constant boundary state ``(h0, c0)`` and
     returns the hidden states as ``[T, H]``: backprop through time truncated
     at the window's start.  Backward is one reverse loop carrying dL/dh and
-    dL/dc; it adds each step's grads of ``b``, ``wh``, ``wx`` and ``xs`` in
-    reverse time order with the same expressions as the chained
-    matmul/sigmoid/tanh ops, so the gradients are the same bits.
+    dL/dc that fills the ``[T, 4H]`` gate grads ``dz``; the grads of ``b``,
+    ``wh``, ``wx`` and ``xs`` then follow from one product each over the
+    window, as in :func:`pmm_scan`.
     """
     x_val = xs if isinstance(xs, Value) else None
     x_data = x_val.data if x_val is not None else np.asarray(xs, dtype=np.float64)
@@ -546,29 +546,24 @@ def lstm_scan(h0, c0, xs, wx: Value, wh: Value, b: Value) -> Value:
     out = Value(np.stack(hs[1:]), parents)
 
     def backward():
-        gx = None if x_val is None else np.empty_like(x_data)
-        dh_next = dc_next = None
+        dz = np.empty((len(acts), b.data.size))  # dL/dz(t), z the fused gate input
+        dh_next = dc_next = 0.0
         for t in range(len(acts) - 1, -1, -1):
             i, f, g, o, tc = acts[t]
-            dh = out.grad[t] if dh_next is None else out.grad[t] + dh_next
-            dc = dh * o * (1.0 - tc**2)
-            if dc_next is not None:
-                dc = dc + dc_next
-            dz = np.empty((4, i.size))
-            dz[0] = dc * g * i * (1.0 - i)
-            dz[1] = dc * cs[t] * f * (1.0 - f)
-            dz[2] = dc * i * (1.0 - g**2)
-            dz[3] = dh * tc * o * (1.0 - o)
-            dz = dz.reshape(-1)
-            _accum(b, dz)
-            _accum(wh, np.outer(hs[t], dz))
-            _accum(wx, np.outer(x_data[t], dz))
-            if gx is not None:
-                gx[t] = dz @ wx.data.T
-            dh_next = dz @ wh.data.T
+            dh = out.grad[t] + dh_next
+            dc = dh * o * (1.0 - tc**2) + dc_next
+            dz_t = dz[t].reshape(4, -1)
+            dz_t[0] = dc * g * i * (1.0 - i)
+            dz_t[1] = dc * cs[t] * f * (1.0 - f)
+            dz_t[2] = dc * i * (1.0 - g**2)
+            dz_t[3] = dh * tc * o * (1.0 - o)
+            dh_next = dz[t] @ wh.data.T
             dc_next = dc * f
-        if gx is not None:
-            _accum(x_val, gx)
+        _accum(b, dz.sum(axis=0))
+        _accum(wh, np.stack(hs[:-1]).T @ dz)
+        _accum(wx, x_data.T @ dz)
+        if x_val is not None:
+            _accum(x_val, dz @ wx.data.T)
 
     out._backward = backward
     return out

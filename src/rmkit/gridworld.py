@@ -24,7 +24,6 @@ MAP_HEADER = "gridmap v1"
 
 # action order: up, down, left, right
 ACTIONS = ((0, -1), (0, 1), (-1, 0), (1, 0))
-ACTION_NAMES = ("up", "down", "left", "right")
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,12 @@ class GridConfig:
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise InputError(f"cell {cell} out of bounds")
         return self._labels[y][x]
+
+    def move(self, cell: tuple[int, int], action: int) -> tuple[int, int]:
+        """The cell ``action`` leads to from ``cell``; a move into a wall stays put."""
+        dx, dy = ACTIONS[action]
+        return (min(max(cell[0] + dx, 0), self.width - 1),
+                min(max(cell[1] + dy, 0), self.height - 1))
 
     def encode(self, cell: tuple[int, int]) -> np.ndarray:
         """Normalized (x, y) in the unit square."""
@@ -149,9 +154,8 @@ class GridWorld:
         self._pot_best = pot_best
         self.reset()
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
+    def reset(self) -> np.ndarray:
         """Start a fresh episode; returns the encoded observation."""
-        del seed  # dynamics are deterministic; the argument mirrors the step API
         self.cell = self.config.start
         self.q = self.machine.initial
         self.t = 0
@@ -173,10 +177,7 @@ class GridWorld:
             raise UsageError("step() after the episode finished")
         if not 0 <= action < len(ACTIONS):
             raise InputError(f"action must be in [0, {len(ACTIONS)})")
-        dx, dy = ACTIONS[action]
-        x = min(max(self.cell[0] + dx, 0), self.config.width - 1)
-        y = min(max(self.cell[1] + dy, 0), self.config.height - 1)
-        self.cell = (x, y)
+        self.cell = self.config.move(self.cell, action)
         symbol = self.config.label(self.cell)
         q_prev = self.q
         self.q = self.machine.transitions[q_prev][symbol]
@@ -216,11 +217,8 @@ def product_distances(config: GridConfig, machine: MooreMachine) -> dict:
         if machine.label_of(q) == top or machine.label_of(q) < 0:
             continue  # absorbing for planning purposes
         for action in range(len(ACTIONS)):
-            dx, dy = ACTIONS[action]
-            x = min(max(cell[0] + dx, 0), config.width - 1)
-            y = min(max(cell[1] + dy, 0), config.height - 1)
-            q_next = machine.transitions[q][config.label((x, y))]
-            preds[((x, y), q_next)].append((cell, q))
+            nxt = config.move(cell, action)
+            preds[(nxt, machine.transitions[q][config.label(nxt)])].append((cell, q))
     dist = {}
     queue = deque()
     for node in nodes:
@@ -249,11 +247,8 @@ def make_eps_optimal_policy(config: GridConfig, machine: MooreMachine, eps: floa
             return int(rng.integers(0, len(ACTIONS)))
         best_action, best_d = 0, np.inf
         for action in range(len(ACTIONS)):
-            dx, dy = ACTIONS[action]
-            x = min(max(cell[0] + dx, 0), config.width - 1)
-            y = min(max(cell[1] + dy, 0), config.height - 1)
-            q_next = machine.transitions[q][config.label((x, y))]
-            d = dist.get(((x, y), q_next), np.inf)
+            nxt = config.move(cell, action)
+            d = dist.get((nxt, machine.transitions[q][config.label(nxt)]), np.inf)
             if d < best_d:
                 best_d, best_action = d, action
         return best_action

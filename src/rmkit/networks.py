@@ -65,10 +65,6 @@ class Grounder:
         self.fc2 = Linear(rng, hidden, hidden)
         self.fc3 = Linear(rng, hidden, n_symbols)
         self.n_symbols = n_symbols
-        # A draw nothing uses: the nrm agent builds its actor and critic from
-        # this rng next and `rmkit ground` shuffles with it, so the draw keeps
-        # both runs bit-identical to those of earlier versions.
-        rng.integers(2**63)
 
     def __call__(self, x):
         return softmax(self.fc3(self.fc2(self.fc1(x, "tanh"))))

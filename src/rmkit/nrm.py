@@ -32,6 +32,9 @@ from .errors import InputError
 from .networks import OneHotGrounder
 
 TAU_FLOOR = 0.05
+# train_grounder stops once PATIENCE epochs in a row improve the loss by less than this
+MIN_IMPROVEMENT = 1e-5
+PATIENCE = 5
 
 
 def default_tau_schedule(epoch: int) -> float:
@@ -70,7 +73,7 @@ class ProbMachineParams:
         return [] if self.frozen else [self.mt, self.mr]
 
 
-def params_from_machine(m: MooreMachine, tau: float = 1.0) -> ProbMachineParams:
+def params_from_machine(m: MooreMachine) -> ProbMachineParams:
     """Knowledge initialization: write exact one-hot rows and freeze them."""
     n, k, r = m.n_states, len(m.alphabet), len(m.output_classes)
     mt = np.zeros((k, n, n))
@@ -82,7 +85,7 @@ def params_from_machine(m: MooreMachine, tau: float = 1.0) -> ProbMachineParams:
         mr[q, m.outputs[q]] = 1.0
     q0 = np.zeros(n)
     q0[m.initial] = 1.0
-    return ProbMachineParams(m.alphabet, m.output_classes, Value(mt), Value(mr), q0, tau, frozen=True)
+    return ProbMachineParams(m.alphabet, m.output_classes, Value(mt), Value(mr), q0, frozen=True)
 
 
 def random_params(rng: np.random.Generator, alphabet, output_classes, n_states: int,
@@ -199,26 +202,38 @@ def _grouped_by_length(dataset):
     return out
 
 
-def dataset_loss(params: ProbMachineParams, grounder, dataset) -> float:
-    """Mean per-step loss of a trace dataset (evaluation only)."""
+def _epoch(params: ProbMachineParams, grounder, groups, order, optimizer: Adam | None = None) -> float:
+    """One pass over the length ``groups`` in ``order``; the mean per-step loss.
+
+    With an ``optimizer`` each group is one zero_grad/backward/step; without
+    one the pass only evaluates.
+    """
     total, steps = 0.0, 0
-    for xs, ys, cells in _grouped_by_length(dataset):
-        traces = forward_batch(params, grounder, xs, cells)
-        loss = dk.cross_entropy(traces.rewards, ys)
-        n = ys.size
-        total += loss.item() * n
-        steps += n
+    for gi in order:
+        xs, ys, cells = groups[gi]
+        loss = dk.cross_entropy(forward_batch(params, grounder, xs, cells).rewards, ys)
+        if optimizer is not None:
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+        total += loss.item() * ys.size
+        steps += ys.size
     return total / max(steps, 1)
 
 
+def dataset_loss(params: ProbMachineParams, grounder, dataset) -> float:
+    """Mean per-step loss of a trace dataset (evaluation only)."""
+    groups = _grouped_by_length(dataset)
+    return _epoch(params, grounder, groups, range(len(groups)))
+
+
 def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 100,
-                   optimizer: Adam | None = None, rng: np.random.Generator | None = None,
-                   min_improvement: float = 1e-5, patience: int = 5) -> object:
+                   optimizer: Adam | None = None, rng: np.random.Generator | None = None) -> object:
     """Semi-supervised symbol grounding: fit the grounder against a frozen machine.
 
     Minimizes the mean reward-class cross-entropy over the dataset; stops
-    early once ``patience`` consecutive epochs improve the epoch loss by
-    less than ``min_improvement``.  The machine tensors never change.
+    early once ``PATIENCE`` consecutive epochs improve the epoch loss by
+    less than ``MIN_IMPROVEMENT``.  The machine tensors never change.
     """
     if not params.frozen:
         raise InputError("train_grounder expects a frozen (knowledge-initialized) machine")
@@ -232,21 +247,10 @@ def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 1
     best = np.inf
     stale = 0
     for _ in range(epochs):
-        order = rng.permutation(len(groups))
-        total, steps = 0.0, 0
-        for gi in order:
-            xs, ys, cells = groups[gi]
-            optimizer.zero_grad()
-            traces = forward_batch(params, grounder, xs, cells)
-            loss = dk.cross_entropy(traces.rewards, ys)
-            loss.backward()
-            optimizer.step()
-            total += loss.item() * ys.size
-            steps += ys.size
-        epoch_loss = total / steps
-        if best - epoch_loss < min_improvement:
+        epoch_loss = _epoch(params, grounder, groups, rng.permutation(len(groups)), optimizer)
+        if best - epoch_loss < MIN_IMPROVEMENT:
             stale += 1
-            if stale >= patience:
+            if stale >= PATIENCE:
                 break
         else:
             stale = 0
@@ -269,18 +273,11 @@ def pure_learning(dataset, n_states: int, alphabet, output_classes, grounder=Non
     params = random_params(rng, alphabet, output_classes, n_states, tau=tau_schedule(0))
     if grounder is None:
         grounder = OneHotGrounder(len(params.alphabet))
-    trainables = params.trainable_params() + grounder.params()
-    optimizer = Adam(trainables, lr=lr)
+    optimizer = Adam(params.trainable_params() + grounder.params(), lr=lr)
     groups = _grouped_by_length(dataset)
     for epoch in range(epochs):
         params.tau = tau_schedule(epoch)
-        for gi in rng.permutation(len(groups)):
-            xs, ys, cells = groups[gi]
-            optimizer.zero_grad()
-            traces = forward_batch(params, grounder, xs, cells)
-            loss = dk.cross_entropy(traces.rewards, ys)
-            loss.backward()
-            optimizer.step()
+        _epoch(params, grounder, groups, rng.permutation(len(groups)), optimizer)
     return params, grounder
 
 

@@ -49,7 +49,7 @@ def _band(frame: _Frame, lo: np.ndarray, hi: np.ndarray) -> str:
     return " ".join(fwd + back)
 
 
-def svg_curves(groups, title: str = "", window: int = 100, y_label: str = "return") -> str:
+def svg_curves(groups, title: str = "", window: int = 100) -> str:
     """Render labeled curve families: each group is (label, list-of-series).
 
     Every series is smoothed with a trailing window; a family of several
@@ -100,7 +100,7 @@ def svg_curves(groups, title: str = "", window: int = 100, y_label: str = "retur
     parts.append(
         f'<text x="14" y="{(HEIGHT + MARGIN_T - MARGIN_B) // 2}" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 14 {(HEIGHT + MARGIN_T - MARGIN_B) // 2})">'
-        f"{y_label}</text>"
+        "return</text>"
     )
     if title:
         parts.append(

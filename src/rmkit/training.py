@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -399,8 +399,3 @@ def _slug(text: str) -> str:
     while "--" in slug:
         slug = slug.replace("--", "-")
     return slug or "task"
-
-
-def short_config(config: TrainConfig, episodes: int, seeds=(0, 1, 2)) -> TrainConfig:
-    """Convenience override for desk-scale runs."""
-    return replace(config, episodes=episodes, seeds=tuple(seeds))

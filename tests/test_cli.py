@@ -207,10 +207,13 @@ class TestBadArguments:
         traces = tmp_path / "traces.csv"
         traces.write_text(traces_to_csv(synth_dataset(DEFAULT_CONFIG, task_machines[1], n=2)))
         (tmp_path / "afile").write_text("")
+        for name, row in (("abc", "0,abc"), ("short", "0"), ("nan", "0,nan"), ("ep", "x,1.0")):
+            (tmp_path / f"{name}.csv").write_text(f"episode,return\n0,1.0\n\n{row}\n")
         return {"tmp": tmp_path, "mm": task1_machine_file, "traces": traces}
 
     _TRAIN = "train --task 1 --agent rm --episodes 1 --out {tmp}/o"
     _GROUND = "ground --machine {mm} --traces {traces} --epochs 1"
+    _BAD_ROW = "{tmp}/%s.csv, line 4: want 'episode,<finite float>', got '%s'"
 
     @pytest.mark.parametrize("argv, code, message", [
         (_TRAIN + " --seeds a", 1, "--seeds wants comma-separated integers, got 'a'"),
@@ -230,6 +233,10 @@ class TestBadArguments:
         ("urs --machine {mm} --out {tmp}/missing/r.csv", 2, "cannot write {tmp}/missing/r.csv"),
         ("compile --formula F(a) --machine {tmp}/missing/m.mm", 2,
          "cannot write {tmp}/missing/m.mm: No such file or directory"),
+        ("plot {tmp}/abc.csv --out {tmp}/o", 2, _BAD_ROW % ("abc", "0,abc")),
+        ("plot {tmp}/short.csv --out {tmp}/o", 2, _BAD_ROW % ("short", "0")),
+        ("plot {tmp}/nan.csv --out {tmp}/o", 2, _BAD_ROW % ("nan", "0,nan")),
+        ("plot {tmp}/ep.csv --out {tmp}/o", 2, _BAD_ROW % ("ep", "x,1.0")),
     ])
     def test_exits_with_a_message(self, files, capsys, argv, code, message):
         assert main([arg.format(**files) for arg in argv.split()]) == code

@@ -89,6 +89,19 @@ class TestStepDynamics:
         env.step(2)  # left stays
         assert env.cell == (0, 0)
 
+    # action order: up, down, left, right; the grid is 6 wide and 4 high
+    @pytest.mark.parametrize("cell, action, inside, away", [
+        ((3, 0), 0, (3, 1), 1),  # top wall
+        ((3, 3), 1, (3, 2), 0),  # bottom wall
+        ((0, 2), 2, (1, 2), 3),  # left wall
+        ((5, 2), 3, (4, 2), 2),  # right wall
+    ])
+    def test_each_wall_clamps(self, cell, action, inside, away):
+        config = parse_map("gridmap v1\n..a...\nS...d.\n.c....\n...b..\n")
+        assert config.move(cell, action) == cell
+        assert config.move(cell, away) == inside
+        assert config.move(inside, action) == cell
+
     def test_standing_on_empty_cells_gives_zero(self, task_machines):
         env = GridWorld(DEFAULT_CONFIG, task_machines[1])
         env.reset()
