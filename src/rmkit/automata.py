@@ -49,6 +49,9 @@ class MooreMachine:
         n, k = len(self.transitions), len(self.alphabet)
         if len(set(self.alphabet)) != k or k == 0:
             raise InputError("alphabet must be non-empty and duplicate-free")
+        bad = [s for s in self.alphabet if s.split() != [s]]
+        if bad:  # the text format splits on whitespace
+            raise InputError(f"symbol names must be non-empty and free of whitespace, got {bad[0]!r}")
         if n == 0:
             raise InputError("machine needs at least one state")
         if not 0 <= self.initial < n:

@@ -122,7 +122,20 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
+def _oracle(spec: str):
+    """The ``--oracle`` spec as None or a function of the machine; checked before any search."""
+    name, _, bound = spec.strip().lower().partition(":")
+    if (name, bound) == ("none", ""):
+        return None
+    if (name, bound) == ("exact", ""):
+        return shortcuts.urs_oracle_exact
+    if name == "bounded" and bound.strip().isdecimal() and int(bound) >= 1:
+        return lambda m: shortcuts.urs_oracle_bounded(m, int(bound))
+    raise UsageError(f"bad oracle spec {spec!r} (want exact, bounded:<L> with L >= 1, or none)")
+
+
 def cmd_urs(args) -> int:
+    oracle = _oracle(args.oracle)
     machine = automata.deserialize(_read(args.machine))
     report = shortcuts.find_urs(machine, skip_absorbing=not args.no_skips,
                                 skip_selfloop=not args.no_skips)
@@ -139,18 +152,9 @@ def cmd_urs(args) -> int:
 
     oracle_spec = args.oracle.strip().lower()
     agrees = True
-    if oracle_spec != "none":
+    if oracle is not None:
         t0 = time.perf_counter()
-        if oracle_spec == "exact":
-            oracle_set = shortcuts.urs_oracle_exact(machine)
-        elif oracle_spec.startswith("bounded:"):
-            try:
-                bound = int(oracle_spec.split(":", 1)[1])
-            except ValueError:
-                raise UsageError(f"bad oracle spec {args.oracle!r}")
-            oracle_set = shortcuts.urs_oracle_bounded(machine, bound)
-        else:
-            raise UsageError(f"bad oracle spec {args.oracle!r} (want exact, bounded:<L>, none)")
+        oracle_set = oracle(machine)
         oracle_seconds = time.perf_counter() - t0
         agrees = oracle_set == report.survivor_set()
         timing_lines += [

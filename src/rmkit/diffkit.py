@@ -574,11 +574,21 @@ def lstm_scan(h0, c0, xs, wx: Value, wh: Value, b: Value) -> Value:
 
 
 class Adam:
-    """Adam over a list of Value parameters, moments kept as flat vectors.
+    """Adam over a list of Value parameters, all stored in two flat vectors.
 
-    Parameter ``i`` owns the slice ``[bounds[i], bounds[i + 1])`` of ``m``
-    and ``v``.  A step leaves a parameter whose grad is None untouched,
-    moments included.
+    Construction copies the parameters into one ``data`` vector, gives them
+    one zeroed ``grad`` vector, and rebinds each ``Value.data`` and
+    ``Value.grad`` to a reshaped view of its slice.  A backward pass then
+    accumulates straight into ``grad``: ``_accum`` adds into a parameter's
+    view and never makes its first-write copy.  ``zero_grad``, ``step`` and
+    :func:`clip_grad_norm` are single vector ops.  A Value keeps its views
+    only while nothing rebinds ``.data`` or ``.grad``, and belongs to the
+    latest Adam built over it.
+
+    A parameter that no backward reached in a step has a zero grad, not
+    None: its moments decay and it moves by momentum alone, as textbook
+    Adam does on a zero gradient.  A parameter that has never had a
+    nonzero grad stays where it is, because its moments are still zero.
     """
 
     def __init__(self, params, lr=4e-4, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -588,33 +598,26 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.bounds = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
-        self.m = np.zeros(self.bounds[-1])
-        self.v = np.zeros(self.bounds[-1])
-        self._work = np.empty((3, self.bounds[-1]))  # grads, update, denominator
+        n = sum(p.data.size for p in self.params)
+        self.data, self.grad, self.m, self.v = (np.zeros(n) for _ in range(4))
+        # step's scratch: allocating it per step doubled step's time for the agents' nets
+        self._upd, self._den = np.empty(n), np.empty(n)
+        a = 0
+        for p in self.params:
+            b = a + p.data.size
+            self.data[a:b] = p.data.ravel()
+            p.data = self.data[a:b].reshape(p.data.shape)
+            p.grad = self.grad[a:b].reshape(p.data.shape)
+            a = b
 
     def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.grad.fill(0.0)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        live = [i for i, p in enumerate(self.params) if p.grad is not None]
-        if not live:
-            return
-        grads = [self.params[i].grad.ravel() for i in live]
-        if len(live) == len(self.params):
-            sel = None
-            g, upd, den = self._work
-            np.concatenate(grads, out=g)
-            m, v = self.m, self.v
-        else:
-            sel = np.concatenate([np.arange(self.bounds[i], self.bounds[i + 1]) for i in live])
-            g = np.concatenate(grads)
-            upd, den = np.empty_like(g), np.empty_like(g)
-            m, v = self.m[sel], self.v[sel]
-        # The textbook update, operation for operation, in place: bits match
+        g, m, v, upd, den = self.grad, self.m, self.v, self._upd, self._den
+        # The textbook update, operation for operation, in place:
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         # upd = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
         m *= self.beta1
@@ -624,35 +627,24 @@ class Adam:
         np.multiply(g, 1.0 - self.beta2, out=upd)
         upd *= g
         v += upd
-        if sel is not None:
-            self.m[sel] = m
-            self.v[sel] = v
         np.divide(m, 1.0 - self.beta1**t, out=upd)
         upd *= self.lr
         np.divide(v, 1.0 - self.beta2**t, out=den)
         np.sqrt(den, out=den)
         den += self.eps
         upd /= den
-        a = 0
-        for i in live:
-            p = self.params[i]
-            b = a + p.data.size
-            p.data -= upd[a:b].reshape(p.data.shape)
-            a = b
+        self.data -= upd
 
 
-def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients down so their joint L2 norm is at most max_norm."""
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad**2).sum())
-    norm = float(np.sqrt(total))
+def clip_grad_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale a flat gradient vector (``Adam.grad``) in place to L2 norm at most max_norm.
+
+    The squared norm is one ``einsum`` reduction rather than ``grad @ grad``:
+    a BLAS dot would start its own threads inside each training worker.
+    """
+    norm = float(np.sqrt(np.einsum("i,i->", grad, grad)))
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        grad *= max_norm / norm
     return norm
 
 

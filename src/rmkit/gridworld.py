@@ -292,8 +292,8 @@ def write_map(config: GridConfig) -> str:
     return "\n".join(rows) + "\n"
 
 
-def parse_map(text: str, alphabet=("a", "b", "c", "d", "e"), empty_symbol="e",
-              t_max: int = 60) -> GridConfig:
+def parse_map(text: str) -> GridConfig:
+    """Parse :func:`write_map` text into a grid on the default alphabet and ``t_max``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != MAP_HEADER:
         raise MachineFormatError(f"expected header {MAP_HEADER!r}")
@@ -310,16 +310,14 @@ def parse_map(text: str, alphabet=("a", "b", "c", "d", "e"), empty_symbol="e",
                 if start is not None:
                     raise MachineFormatError("map declares two start cells")
                 start = (x, y)
-            elif ch in alphabet and ch != empty_symbol:
+            elif ch in GridConfig.alphabet and ch != GridConfig.empty_symbol:
                 items.append(((x, y), ch))
             else:
                 raise MachineFormatError(f"unknown map character {ch!r}")
     if start is None:
         raise MachineFormatError("map declares no start cell")
     try:
-        return GridConfig(width=len(rows[0]), height=len(rows), items=tuple(items),
-                          start=start, t_max=t_max, alphabet=tuple(alphabet),
-                          empty_symbol=empty_symbol)
+        return GridConfig(width=len(rows[0]), height=len(rows), items=tuple(items), start=start)
     except InputError as exc:
         raise MachineFormatError(str(exc)) from exc
 

@@ -303,11 +303,12 @@ def urs_oracle_bounded(m: MooreMachine, max_len: int) -> frozenset[tuple[int, ..
     shorter-support-first arguments that speed up :func:`find_urs` are
     used, and no work is shared between candidates.  The result is a
     superset of the unremovable set, shrinking as the bound grows, and is
-    exact once ``max_len >= |Q|^2``.
+    exact once ``max_len >= |Q|^2``, so a larger bound is cut to ``|Q|^2``.
     """
     k = len(m.alphabet)
     if max_len < 1:
         return frozenset(enumerate_maps(k))
+    max_len = min(max_len, m.n_states**2)
     survivors = []
     for alpha in enumerate_maps(k):
         if is_working(m, alpha, _bounded_support(m, alpha, max_len)):

@@ -125,8 +125,8 @@ class ActorCriticNets:
         self.actor = MLP(rng, (in_dim, 120, 120, n_actions))
         self.critic = MLP(rng, (in_dim, 120, 120, 1))
         self.config = config
-        self.params = list(encoder_params) + self.actor.params() + self.critic.params()
-        self.optimizer = Adam(self.params, lr=config.lr)
+        self.optimizer = Adam(list(encoder_params) + self.actor.params() + self.critic.params(),
+                              lr=config.lr)
 
     def action_probs(self, x: np.ndarray) -> np.ndarray:
         return dk.softmax(self.actor.forward_numpy(x))
@@ -141,7 +141,7 @@ class ActorCriticNets:
         total, parts = a2c_losses(logits, values, actions, returns, self.config)
         self.optimizer.zero_grad()
         total.backward()
-        clip_grad_norm(self.params, self.config.grad_clip)
+        clip_grad_norm(self.optimizer.grad, self.config.grad_clip)
         self.optimizer.step()
         return parts
 
@@ -168,9 +168,6 @@ class GrounderBuffer:
         for episode_id, trace in self.recent + self.elite:
             seen.setdefault(episode_id, trace)
         return [seen[k] for k in sorted(seen)]
-
-    def __len__(self):
-        return len(self.dataset())
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,11 @@ class TestShapeRewards:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("name", ["", "b c", "b\tc", " b", "b\n"])
+    def test_symbol_names_the_format_cannot_split_are_rejected(self, name):
+        with pytest.raises(InputError, match="free of whitespace"):
+            MooreMachine(("a", name), ((0, 0),), (0,), (0, 1))
+
     def test_round_trip_identity(self, task_machines):
         for m in task_machines.values():
             assert deserialize(serialize(m)) == m

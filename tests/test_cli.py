@@ -237,11 +237,30 @@ class TestBadArguments:
         ("plot {tmp}/short.csv --out {tmp}/o", 2, _BAD_ROW % ("short", "0")),
         ("plot {tmp}/nan.csv --out {tmp}/o", 2, _BAD_ROW % ("nan", "0,nan")),
         ("plot {tmp}/ep.csv --out {tmp}/o", 2, _BAD_ROW % ("ep", "x,1.0")),
+        ("urs --machine {mm} --oracle bounded: --out {tmp}/o", 1, "bad oracle spec 'bounded:'"),
+        ("urs --machine {mm} --oracle nope --out {tmp}/o", 1, "bad oracle spec 'nope'"),
+        ("urs --machine {mm} --oracle bounded:0 --out {tmp}/o", 1, "bounded:<L> with L >= 1"),
+        ("urs --machine {mm} --oracle bounded:-3 --out {tmp}/o", 1, "bounded:<L> with L >= 1"),
+        ("urs --machine {tmp}/nope.mm --oracle bounded:x --out {tmp}/o", 1, "bad oracle spec"),
     ])
     def test_exits_with_a_message(self, files, capsys, argv, code, message):
         assert main([arg.format(**files) for arg in argv.split()]) == code
         assert message.format(**files) in capsys.readouterr().err
         assert not (files["tmp"] / "o").exists()
+
+    def test_compile_rejects_a_symbol_name_with_whitespace(self, tmp_path, capsys):
+        out = tmp_path / "m.mm"
+        argv = ["compile", "--formula", "F(a)", "--alphabet", "a,b c", "--machine", str(out)]
+        assert main(argv) == 2
+        assert "free of whitespace, got 'b c'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_huge_oracle_bound_is_the_exact_oracle(self, tmp_path, task1_machine_file, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["urs", "--machine", str(task1_machine_file), "--oracle", "bounded:99999999999",
+                     "--out", str(out)]) == 0
+        assert "54 maps" in capsys.readouterr().out
+        assert "oracle_agrees = True" in (tmp_path / "r.csv.timings.txt").read_text()
 
     def test_oversized_urs_search_is_a_data_error(self, tmp_path, capsys):
         mm = tmp_path / "big.mm"

@@ -425,11 +425,15 @@ class TestAdam:
         for t in range(1, 21):
             opt.zero_grad()
             for i, p in enumerate(params):
-                # parameter 1 never gets a gradient, parameter 3 only on odd steps
-                if i == 1 or (i == 3 and t % 2 == 0):
+                # parameter 1 never gets a gradient, parameter 3 only on odd steps;
+                # a skipped grad stays zero from zero_grad
+                if i == 1:
                     continue
-                p.grad = rng.standard_normal(shapes[i])
-                g = p.grad
+                if i == 3 and t % 2 == 0:
+                    g = np.zeros(shapes[i])
+                else:
+                    g = rng.standard_normal(shapes[i])
+                    p.grad[...] = g
                 ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
                 ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
                 m_hat = ref_m[i] / (1.0 - b1**t)
@@ -441,12 +445,33 @@ class TestAdam:
         assert opt.step_count == 20
         assert np.array_equal(params[1].data, init[1])
 
+    def test_params_and_grads_are_views_of_the_flat_vectors(self):
+        w, b = Value(np.arange(6.0).reshape(2, 3)), Value(np.array([1.0, -1.0, 0.5]))
+        init = [w.data.copy(), b.data.copy()]
+        opt = Adam([w, b], lr=0.1)
+        assert np.array_equal(opt.data, np.concatenate([a.ravel() for a in init]))
+        opt.zero_grad()
+        vsum(matmul(Value(np.ones((1, 2))), w) + b).backward()
+        opt.step()
+        for p, a in zip((w, b), init):
+            assert p.data.shape == a.shape and p.grad.shape == a.shape
+            assert np.shares_memory(p.data, opt.data) and np.shares_memory(p.grad, opt.grad)
+            assert not np.array_equal(p.data, a)
+        assert np.array_equal(opt.grad, np.ones(9))
+        assert np.array_equal(opt.data, np.concatenate([w.data.ravel(), b.data]))
+
+    def test_empty_parameter_list_is_a_no_op(self):
+        opt = Adam([])
+        opt.zero_grad()
+        opt.step()
+        assert opt.data.shape == opt.grad.shape == (0,) and opt.step_count == 1
+        assert clip_grad_norm(opt.grad, 1.0) == 0.0
+
     def test_clip_grad_norm(self):
-        p = Value(np.zeros(3))
-        p.grad = np.array([3.0, 4.0, 0.0])
-        norm = clip_grad_norm([p], 1.0)
+        grad = np.array([3.0, 4.0, 0.0])
+        norm = clip_grad_norm(grad, 1.0)
         assert np.isclose(norm, 5.0)
-        assert np.isclose(np.sqrt((p.grad**2).sum()), 1.0)
+        assert np.isclose(np.sqrt((grad**2).sum()), 1.0)
 
 
 class TestSeeding:

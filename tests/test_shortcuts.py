@@ -232,6 +232,10 @@ class TestBoundedOracle:
         m = task_machines[1]
         assert urs_oracle_bounded(m, m.n_states**2) == urs_oracle_exact(m)
 
+    def test_a_huge_bound_is_cut_to_the_exact_one(self, task_machines):
+        m = task_machines[1]
+        assert urs_oracle_bounded(m, 10**9) == urs_oracle_exact(m)
+
     def test_upper_bounds_find_urs_at_every_bound(self, task_machines):
         m = task_machines[3]
         urs = find_urs(m).survivor_set()

@@ -146,14 +146,14 @@ class TestGrounderBuffer:
     def test_single_episode(self):
         buf = GrounderBuffer()
         buf.add(0, self._trace(1.0))
-        assert len(buf) == 1
+        assert len(buf.dataset()) == 1
 
     def test_capacity_bound(self):
         rng = np.random.default_rng(3)
         buf = GrounderBuffer(60, 60)
         for i in range(500):
             buf.add(i, self._trace(float(rng.integers(0, 100))))
-        assert len(buf) <= 120
+        assert len(buf.dataset()) <= 120
 
     def test_best_episode_always_kept(self):
         buf = GrounderBuffer(5, 5)
