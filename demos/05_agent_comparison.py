@@ -15,7 +15,7 @@ grounder locks in, and the plain rnn lags or plateaus on a local optimum.
 
 from rmkit.gridworld import DEFAULT_CONFIG
 from rmkit.plotting import svg_curves
-from rmkit.training import TrainConfig, run_experiment
+from rmkit.training import WINDOW, TrainConfig, run_experiment
 
 config = TrainConfig(episodes=800, seeds=(0, 1))
 groups = []
@@ -26,5 +26,5 @@ for kind in ("rm", "nrm", "rnn"):
     groups.append((kind, list(result["curves"].values())))
 
 with open("agent_comparison.svg", "w") as fh:
-    fh.write(svg_curves(groups, title="task 1: F(a) & F(b)", window=config.window))
+    fh.write(svg_curves(groups, title="task 1: F(a) & F(b)", window=WINDOW))
 print("\nlearning curves written to agent_comparison.svg")

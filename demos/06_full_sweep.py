@@ -19,7 +19,7 @@ import os
 from rmkit.formulas import TASK_FORMULAS
 from rmkit.gridworld import DEFAULT_CONFIG
 from rmkit.plotting import svg_curves
-from rmkit.training import AGENT_KINDS, TrainConfig, run_experiment
+from rmkit.training import AGENT_KINDS, WINDOW, TrainConfig, run_experiment
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--out", default="sweep")
@@ -43,6 +43,5 @@ for tid in (int(t) for t in args.tasks.split(",")):
         groups.append((kind, list(result["curves"].values())))
     svg_path = os.path.join(args.out, f"task{tid}_agents.svg")
     with open(svg_path, "w") as fh:
-        fh.write(svg_curves(groups, title=f"task {tid}: {TASK_FORMULAS[tid]}",
-                            window=config.window))
+        fh.write(svg_curves(groups, title=f"task {tid}: {TASK_FORMULAS[tid]}", window=WINDOW))
     print(f"task {tid}: curves -> {svg_path}", flush=True)

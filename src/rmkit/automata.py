@@ -92,11 +92,6 @@ class MooreMachine:
     def is_acceptor(self) -> bool:
         return self.output_classes == ACCEPTOR_CLASSES
 
-    def accepting_states(self) -> frozenset[int]:
-        """States on the maximum output label (the accepting label for acceptors)."""
-        top = len(self.output_classes) - 1
-        return frozenset(q for q in self.states if self.outputs[q] == top)
-
 
 def run_string(m: MooreMachine, x: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Run a symbol-index trace, returning (state trace, output trace).

@@ -49,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_urs.add_argument("--oracle", default="none",
                        help="cross-check: exact, bounded:<L>, or none")
     p_urs.add_argument("--jobs", type=int, default=1, help="ignored: the search runs in one process")
-    p_urs.add_argument("--no-skips", action="store_true",
-                       help="disable the absorbing/self-loop pruning (same result, slower)")
     p_urs.add_argument("--out", required=True, help="report CSV path")
 
     p_ground = sub.add_parser("ground", help="train a symbol grounder from recorded traces")
@@ -101,7 +99,7 @@ def _write(path: str, text: str):
 
 
 def _load_grid(args) -> gridworld.GridConfig:
-    if getattr(args, "map", None):
+    if args.map:
         return gridworld.parse_map(_read(args.map))
     return gridworld.DEFAULT_CONFIG
 
@@ -137,8 +135,7 @@ def _oracle(spec: str):
 def cmd_urs(args) -> int:
     oracle = _oracle(args.oracle)
     machine = automata.deserialize(_read(args.machine))
-    report = shortcuts.find_urs(machine, skip_absorbing=not args.no_skips,
-                                skip_selfloop=not args.no_skips)
+    report = shortcuts.find_urs(machine)
     with _file_errors(args.out, "write"), open(args.out, "w") as fh:  # streamed: 8 symbols make 218 MB
         fh.writelines(shortcuts.iter_report_csv(report))
     timing_lines = [
@@ -209,7 +206,7 @@ def cmd_train(args) -> int:
         task = task or parsed["task"]
         agent = agent or parsed["agent"]
         train_cfg = parsed["train"]
-        if not getattr(args, "map", None):
+        if not args.map:
             grid = parsed["grid"]
     if not task or not agent:
         raise UsageError("train needs --task and --agent (flags or config file)")
@@ -227,7 +224,7 @@ def cmd_train(args) -> int:
                                          jobs=args.jobs)
     curves = result["curves"]
     svg = plotting.svg_curves([(agent, list(curves.values()))], title=str(task),
-                              window=train_cfg.window)
+                              window=training.WINDOW)
     svg_path = f"{args.out.rstrip('/')}/{training._slug(str(task))}_{agent}_curve.svg"
     _write(svg_path, svg)
     for seed, final in sorted(result["final"].items()):

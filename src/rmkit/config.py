@@ -15,29 +15,18 @@ top level::
     start = 0,0
     items = a@2,0 b@4,1 c@2,2 d@0,3
 
-Unknown keys are rejected so a typo cannot silently fall back to defaults.
+``[grid]`` also takes ``t_max``.  The A2C and grounding settings are
+constants in :mod:`rmkit.training`.  Unknown keys are rejected so a typo
+cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
-
-from dataclasses import fields, replace
 
 from .errors import MachineFormatError
 from .gridworld import GridConfig
 from .training import TrainConfig
 
 CONFIG_HEADER = "experiment v1"
-
-_TRAIN_KEYS = {f.name: f.type for f in fields(TrainConfig)}
-_GRID_SIMPLE_KEYS = ("width", "height", "t_max", "empty_symbol")
-
-
-def _parse_scalar(key: str, raw: str, like) -> object:
-    if isinstance(like, int):
-        return _number(key, raw, int)
-    if isinstance(like, float):
-        return _number(key, raw, float)
-    return raw
 
 
 def _number(key: str, raw: str, kind):
@@ -95,35 +84,29 @@ def parse_experiment_config(text: str) -> dict:
     if unknown_top:
         raise MachineFormatError(f"unknown top-level keys {sorted(unknown_top)}")
 
-    train = TrainConfig()
+    train_updates = {}
     for key, raw in train_kv.items():
-        if key not in _TRAIN_KEYS:
-            raise MachineFormatError(f"unknown [train] key {key!r}")
-        current = getattr(train, key)
-        if key == "seeds":
-            value = _int_tuple(key, raw)
+        if key == "episodes":
+            train_updates[key] = _number(key, raw, int)
+        elif key == "seeds":
+            train_updates[key] = _int_tuple(key, raw)
         else:
-            value = _parse_scalar(key, raw, current)
-        train = replace(train, **{key: value})
+            raise MachineFormatError(f"unknown [train] key {key!r}")
 
-    grid = GridConfig()
     grid_updates = {}
     for key, raw in grid_kv.items():
-        if key in _GRID_SIMPLE_KEYS:
-            grid_updates[key] = _parse_scalar(key, raw, getattr(grid, key))
+        if key in ("width", "height", "t_max"):
+            grid_updates[key] = _number(key, raw, int)
         elif key == "start":
-            grid_updates["start"] = _int_tuple(key, raw, size=2)
+            grid_updates[key] = _int_tuple(key, raw, size=2)
         elif key == "items":
-            grid_updates["items"] = _parse_items(raw)
-        elif key == "alphabet":
-            grid_updates["alphabet"] = tuple(raw.split(","))
+            grid_updates[key] = _parse_items(raw)
         else:
             raise MachineFormatError(f"unknown [grid] key {key!r}")
-    grid = replace(grid, **grid_updates)
 
     return {
         "task": top.get("task"),
         "agent": top.get("agent"),
-        "train": train,
-        "grid": grid,
+        "train": TrainConfig(**train_updates),
+        "grid": GridConfig(**grid_updates),
     }

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .automata import MooreMachine
 from .errors import InputError, MachineFormatError, UsageError
+from .formulas import TASK_ALPHABET
 
 MAP_HEADER = "gridmap v1"
 
@@ -38,8 +40,9 @@ class GridConfig:
     )
     start: tuple[int, int] = (0, 0)
     t_max: int = 60
-    alphabet: tuple[str, ...] = ("a", "b", "c", "d", "e")
-    empty_symbol: str = "e"
+    # every task compiles over TASK_ALPHABET; its last symbol marks an empty cell
+    alphabet: ClassVar[tuple[str, ...]] = TASK_ALPHABET
+    empty_symbol: ClassVar[str] = TASK_ALPHABET[-1]
 
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
@@ -54,8 +57,6 @@ class GridConfig:
                 raise InputError(f"item cell {(x, y)} out of bounds")
             if symbol not in self.alphabet or symbol == self.empty_symbol:
                 raise InputError(f"item symbol {symbol!r} must be a non-empty alphabet symbol")
-        if self.empty_symbol not in self.alphabet:
-            raise InputError("alphabet must include the empty symbol")
         sx, sy = self.start
         if not (0 <= sx < self.width and 0 <= sy < self.height):
             raise InputError("start cell out of bounds")
@@ -336,7 +337,10 @@ def traces_to_csv(traces) -> str:
 
 def traces_from_csv(text: str, config: GridConfig,
                     n_classes: int | None = None) -> list[EpisodeTrace]:
-    """Parse :func:`traces_to_csv` output; ``n_classes`` bounds ``reward_class``."""
+    """Parse :func:`traces_to_csv` output; ``n_classes`` bounds ``reward_class``.
+
+    Each episode's rows must have ``t`` = 0, 1, ..., T-1 in any order.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "episode,t,x,y,reward_class,scalar_reward":
         raise MachineFormatError("bad trace CSV header")
@@ -361,7 +365,11 @@ def traces_from_csv(text: str, config: GridConfig,
         rows[t] = ((x, y), cls, reward)
     traces = []
     for ep in sorted(episodes):
-        rows = [row for _, row in sorted(episodes[ep].items())]
-        cells, classes, rewards = zip(*rows)
+        rows = episodes[ep]
+        missing = next((t for t in range(len(rows)) if t not in rows), None)
+        if missing is not None:
+            raise MachineFormatError(f"episode {ep}, t {missing}: missing row "
+                                     f"(an episode's t runs 0..{len(rows) - 1})")
+        cells, classes, rewards = zip(*(rows[t] for t in range(len(rows))))
         traces.append(EpisodeTrace.from_steps(config, cells, classes, rewards, float(sum(rewards))))
     return traces

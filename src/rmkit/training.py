@@ -7,14 +7,16 @@ that the actor and critic read:
 * ``rm``  - the exact machine state (one-hot), via the ground-truth labeler;
   the upper bound.
 * ``nrm`` - the probabilistic machine state computed by a learned grounder
-  against the frozen task machine; every ``grounder_period`` episodes the
+  against the frozen task machine; every ``GROUNDER_PERIOD`` episodes the
   grounder is refit on a curated buffer of recorded episodes (recent ones
   plus the best seen), using reward classes as the only supervision.
 * ``rnn`` - no machine knowledge at all; a stacked LSTM summarizes the
   observation history and the actor/critic read its hidden state.
 
-Updates run every ``n_step`` environment steps on n-step advantage targets;
-seeds are independent workers, and a fixed seed reproduces a run bitwise.
+Updates run every ``N_STEP`` environment steps on n-step advantage targets.
+The A2C and grounding settings are the module constants below, the same for
+every run; a :class:`TrainConfig` names only the episode count and the seeds.
+Seeds are independent workers, and a fixed seed reproduces a run bitwise.
 """
 
 from __future__ import annotations
@@ -36,42 +38,24 @@ from .nrm import MachineStateTracker, params_from_machine, train_grounder
 
 AGENT_KINDS = ("rm", "nrm", "rnn")
 
+# The one A2C and grounding setup every agent kind trains under.
+N_STEP = 5  # environment steps per update
+GAMMA = 0.99
+COEF_ACTOR, COEF_CRITIC, COEF_ENTROPY = 0.3, 0.5, 1e-4
+GRAD_CLIP = 5.0
+GROUNDER_PERIOD = 120  # episodes between nrm grounder refits
+WINDOW = 100  # trailing episodes averaged into the final return
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     episodes: int = 10000
-    n_step: int = 5
-    lr: float = 4e-4
-    coef_actor: float = 0.3
-    coef_critic: float = 0.5
-    coef_entropy: float = 1e-4
-    grounder_period: int = 120
-    grounder_epochs: int = 100
-    gamma: float = 0.99
     seeds: tuple[int, ...] = (0, 1, 2)
-    window: int = 100
-    grad_clip: float = 5.0
-    buffer_recent: int = 60
-    buffer_elite: int = 60
-    grounder_hidden: int = 64
-    grounder_lr: float = 4e-4
 
     def __post_init__(self):
-        numeric = (self.episodes, self.n_step, self.lr, self.coef_actor, self.coef_critic,
-                   self.coef_entropy, self.grounder_period, self.grounder_epochs, self.gamma,
-                   self.window, self.grad_clip)
-        if not all(0 < v < np.inf for v in numeric):
-            raise InputError("training settings must all be positive and finite")
-        if self.gamma > 1:
-            raise InputError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if self.buffer_recent < 0 or self.buffer_elite < 0:
-            raise InputError("buffer_recent and buffer_elite must not be negative")
-        if self.buffer_recent + self.buffer_elite == 0:
-            raise InputError("buffer_recent + buffer_elite must be at least 1")
-        if self.grounder_hidden < 1:
-            raise InputError("grounder_hidden must be at least 1")
-        if not 0 < self.grounder_lr < np.inf:
-            raise InputError("grounder_lr must be positive and finite")
+        if self.episodes < 1:
+            raise InputError("training settings must all be positive, "
+                             f"got episodes = {self.episodes}")
         if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             raise InputError("seeds must name at least one seed, none negative or repeated")
 
@@ -86,7 +70,7 @@ def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
     return out
 
 
-def a2c_losses(logits: Value, values: Value, actions, returns, config: TrainConfig):
+def a2c_losses(logits: Value, values: Value, actions, returns):
     """Combined actor-critic loss plus its components (as floats).
 
     Advantages are detached: the policy term moves only the actor, the
@@ -105,8 +89,7 @@ def a2c_losses(logits: Value, values: Value, actions, returns, config: TrainConf
     value_loss = dk.vmean(dk.mul(err, err))
     probs = dk.softmax(logits, axis=-1)
     entropy = -dk.vmean(dk.vsum(dk.mul(probs, logp), axis=-1))
-    total = (config.coef_actor * policy_loss + config.coef_critic * value_loss
-             - config.coef_entropy * entropy)
+    total = COEF_ACTOR * policy_loss + COEF_CRITIC * value_loss - COEF_ENTROPY * entropy
     return total, {
         "policy": policy_loss.item(),
         "value": value_loss.item(),
@@ -121,12 +104,10 @@ class ActorCriticNets:
     agent's LSTM); they are optimized and clipped together with the heads.
     """
 
-    def __init__(self, rng, in_dim: int, n_actions: int, config: TrainConfig, encoder_params=()):
+    def __init__(self, rng, in_dim: int, n_actions: int, encoder_params=()):
         self.actor = MLP(rng, (in_dim, 120, 120, n_actions))
         self.critic = MLP(rng, (in_dim, 120, 120, 1))
-        self.config = config
-        self.optimizer = Adam(list(encoder_params) + self.actor.params() + self.critic.params(),
-                              lr=config.lr)
+        self.optimizer = Adam(list(encoder_params) + self.actor.params() + self.critic.params())
 
     def action_probs(self, x: np.ndarray) -> np.ndarray:
         return dk.softmax(self.actor.forward_numpy(x))
@@ -138,10 +119,10 @@ class ActorCriticNets:
         """One A2C step on a ``[T, d]`` batch Value of features (``features.batch``)."""
         logits = self.actor(batch)
         values = dk.reshape(self.critic(batch), (batch.data.shape[0],))
-        total, parts = a2c_losses(logits, values, actions, returns, self.config)
+        total, parts = a2c_losses(logits, values, actions, returns)
         self.optimizer.zero_grad()
         total.backward()
-        clip_grad_norm(self.optimizer.grad, self.config.grad_clip)
+        clip_grad_norm(self.optimizer.grad, GRAD_CLIP)
         self.optimizer.step()
         return parts
 
@@ -239,17 +220,16 @@ class _LSTMFeatures:
         self.boundary, self.obs, self.head = self.state, [], 1
 
 
-def _grounder_refit(config: TrainConfig, grid: GridConfig, grounder, params, rng):
+def _grounder_refit(grid: GridConfig, grounder, params, rng):
     """The nrm agent's end-of-episode hook: buffer the episode, refit periodically."""
-    buffer = GrounderBuffer(config.buffer_recent, config.buffer_elite)
-    optimizer = Adam(grounder.params(), lr=config.grounder_lr)
+    buffer = GrounderBuffer()
+    optimizer = Adam(grounder.params())
 
     def end_episode(episode: int, steps, total: float):
         cells, classes, rewards = zip(*steps)
         buffer.add(episode, EpisodeTrace.from_steps(grid, cells, classes, rewards, total))
-        if (episode + 1) % config.grounder_period == 0:
-            train_grounder(params, grounder, buffer.dataset(), epochs=config.grounder_epochs,
-                           optimizer=optimizer, rng=rng)
+        if (episode + 1) % GROUNDER_PERIOD == 0:
+            train_grounder(params, grounder, buffer.dataset(), optimizer=optimizer, rng=rng)
 
     return end_episode
 
@@ -264,7 +244,7 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
     ``params`` to train; ``end_episode(episode, steps, total)`` gets
     (cell, class, reward) steps.
     """
-    nets = ActorCriticNets(rng_weights, features.dim, len(ACTIONS), config, features.params)
+    nets = ActorCriticNets(rng_weights, features.dim, len(ACTIONS), features.params)
     returns = []
     for episode in range(config.episodes):
         x = features.reset(env.reset())
@@ -280,9 +260,9 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
             rews.append(reward)
             steps.append((env.cell, cls, reward))
             x = features.step(obs)
-            if len(xs) == config.n_step or done:
+            if len(xs) == N_STEP or done:
                 bootstrap = 0.0 if done else nets.state_value(x)
-                nets.update(features.batch(xs), acts, n_step_returns(rews, bootstrap, config.gamma))
+                nets.update(features.batch(xs), acts, n_step_returns(rews, bootstrap, GAMMA))
                 features.cut()
                 xs, acts, rews = [], [], []
         returns.append(total)
@@ -315,9 +295,9 @@ def run_single(task, agent_kind: str, config: TrainConfig, grid_config: GridConf
         return _agent_run(env, _MachineFeatures(env), config, rng_weights, rng_actions)
     if agent_kind == "rnn":
         return _agent_run(env, _LSTMFeatures(rng_weights), config, rng_weights, rng_actions)
-    grounder = Grounder(rng_weights, 2, len(machine.alphabet), hidden=config.grounder_hidden)
+    grounder = Grounder(rng_weights, 2, len(machine.alphabet))
     params = params_from_machine(machine)
-    refit = _grounder_refit(config, grid_config, grounder, params, rng_grounder)
+    refit = _grounder_refit(grid_config, grounder, params, rng_grounder)
     return _agent_run(env, _MachineFeatures(env, MachineStateTracker(params, grounder)), config,
                       rng_weights, rng_actions, end_episode=refit)
 
@@ -373,7 +353,7 @@ def run_experiment(task, agent_kind: str, config: TrainConfig, grid_config: Grid
     else:
         results = [run_single(task, agent_kind, config, grid_config, s) for s in seeds]
     curves = {s: r for s, r in zip(seeds, results)}
-    final = {s: float(smoothed(r, config.window)[-1]) for s, r in curves.items()}
+    final = {s: float(smoothed(r, WINDOW)[-1]) for s, r in curves.items()}
     paths = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -385,7 +365,7 @@ def run_experiment(task, agent_kind: str, config: TrainConfig, grid_config: Grid
             paths.append(path)
         summary_path = os.path.join(out_dir, f"{_slug(task_tag)}_{agent_kind}_summary.csv")
         with open(summary_path, "w") as fh:
-            fh.write(summary_to_csv(curves, config.window))
+            fh.write(summary_to_csv(curves, WINDOW))
         paths.append(summary_path)
     return {"curves": curves, "final": final, "paths": paths}
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import fields
 
 import numpy as np
 from hypothesis import strategies as st
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from rmkit import diffkit as dk
 from rmkit import shortcuts
 from rmkit.automata import MooreMachine, minimize, run_string
-from rmkit.config import _GRID_SIMPLE_KEYS, CONFIG_HEADER
+from rmkit.config import CONFIG_HEADER
 from rmkit.diffkit import Value
 from rmkit.errors import MachineFormatError
 from rmkit.formulas import TASK_ALPHABET, TASK_FORMULAS
@@ -193,37 +192,24 @@ def reconstruct_reward_classes(scalar_rewards, machine: MooreMachine) -> np.ndar
 
 
 def format_experiment_config(task, agent, train: TrainConfig, grid: GridConfig) -> str:
-    """Inverse of :func:`parse_experiment_config` for the non-default fields."""
+    """Inverse of :func:`parse_experiment_config`: every key it accepts."""
     lines = [CONFIG_HEADER]
     if task is not None:
         lines.append(f"task = {task}")
     if agent is not None:
         lines.append(f"agent = {agent}")
-    default_train = TrainConfig()
-    train_lines = []
-    for f in fields(TrainConfig):
-        value = getattr(train, f.name)
-        if value != getattr(default_train, f.name):
-            text = ",".join(str(s) for s in value) if f.name == "seeds" else str(value)
-            train_lines.append(f"{f.name} = {text}")
-    if train_lines:
-        lines.append("[train]")
-        lines.extend(train_lines)
-    default_grid = GridConfig()
-    grid_lines = []
-    for name in _GRID_SIMPLE_KEYS:
-        if getattr(grid, name) != getattr(default_grid, name):
-            grid_lines.append(f"{name} = {getattr(grid, name)}")
-    if grid.start != default_grid.start:
-        grid_lines.append(f"start = {grid.start[0]},{grid.start[1]}")
-    if grid.items != default_grid.items:
-        items = " ".join(f"{sym}@{x},{y}" for (x, y), sym in grid.items)
-        grid_lines.append(f"items = {items}")
-    if grid.alphabet != default_grid.alphabet:
-        grid_lines.append("alphabet = " + ",".join(grid.alphabet))
-    if grid_lines:
-        lines.append("[grid]")
-        lines.extend(grid_lines)
+    items = " ".join(f"{sym}@{x},{y}" for (x, y), sym in grid.items)
+    lines += [
+        "[train]",
+        f"episodes = {train.episodes}",
+        "seeds = " + ",".join(str(s) for s in train.seeds),
+        "[grid]",
+        f"width = {grid.width}",
+        f"height = {grid.height}",
+        f"t_max = {grid.t_max}",
+        f"start = {grid.start[0]},{grid.start[1]}",
+        f"items = {items}",
+    ]
     return "\n".join(lines) + "\n"
 
 
