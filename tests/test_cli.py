@@ -87,6 +87,13 @@ class TestUrs:
         assert main(["urs", "--machine", str(task1_machine_file), "--oracle", "sometimes",
                      "--out", str(out)]) == 1
 
+    def test_no_skips_flag_is_gone(self, tmp_path, task1_machine_file, capsys):
+        out = tmp_path / "report.csv"
+        assert main(["urs", "--machine", str(task1_machine_file), "--no-skips",
+                     "--out", str(out)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_csv(self, tmp_path, task1_machine_file):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         main(["urs", "--machine", str(task1_machine_file), "--out", str(out1)])

@@ -43,6 +43,13 @@ class TestLabel:
     def test_empty_cell(self):
         assert DEFAULT_CONFIG.label((1, 1)) == TASK_ALPHABET.index("e")
 
+    def test_alphabet_comes_from_the_tasks_not_the_fields(self):
+        # every task compiles over TASK_ALPHABET, so the grid cannot set its own
+        assert GridConfig.alphabet == TASK_ALPHABET
+        assert GridConfig.empty_symbol == TASK_ALPHABET[-1]
+        names = {f.name for f in dataclasses.fields(GridConfig)}
+        assert names == {"width", "height", "items", "start", "t_max"}
+
     def test_out_of_bounds(self):
         with pytest.raises(InputError):
             DEFAULT_CONFIG.label((9, 0))
@@ -306,6 +313,24 @@ class TestTextFormats:
         text = f"episode,t,x,y,reward_class,scalar_reward\n3,0,1,0,0,0.0\n3,1,2,0,0,{reward}\n"
         with pytest.raises(MachineFormatError, match="episode 3, t 1: scalar_reward"):
             traces_from_csv(text, DEFAULT_CONFIG)
+
+    def test_trace_csv_rows_in_any_order(self, task_machines):
+        traces = synth_dataset(DEFAULT_CONFIG, task_machines[1], policy="random", n=3, seed=5)
+        header, *rows = traces_to_csv(traces).splitlines()
+        back = traces_from_csv("\n".join([header, *reversed(rows)]), DEFAULT_CONFIG)
+        for t1, t2 in zip(traces, back, strict=True):
+            assert np.array_equal(t1.cells, t2.cells)
+            assert np.array_equal(t1.reward_classes, t2.reward_classes)
+
+    @pytest.mark.parametrize("ts, message", [
+        ((0, 1, 5), "episode 0, t 2: missing row"),
+        ((3, -2), "episode 0, t 0: missing row"),
+        ((1,), "episode 0, t 0: missing row"),
+    ])
+    def test_trace_csv_gap_in_t_is_missing_row(self, ts, message):
+        rows = "".join(f"0,{t},1,0,0,0.0\n" for t in ts)
+        with pytest.raises(MachineFormatError, match=message):
+            traces_from_csv("episode,t,x,y,reward_class,scalar_reward\n" + rows, DEFAULT_CONFIG)
 
     def test_trace_csv_same_t_in_other_episodes(self):
         text = "episode,t,x,y,reward_class,scalar_reward\n0,0,1,0,0,0.0\n1,0,1,0,0,0.0\n"
