@@ -21,7 +21,7 @@ from .automata import (
     serialize,
     shape_rewards,
 )
-from .formulas import TASK_ALPHABET, TASK_FORMULAS, compile_formula, compile_via_derivatives, parse
+from .formulas import TASK_ALPHABET, TASK_FORMULAS, compile_formula, parse
 from .gridworld import GridConfig, GridWorld, synth_dataset
 from .nrm import (
     extract_machine,
@@ -49,7 +49,6 @@ __all__ = [
     "TASK_ALPHABET",
     "TASK_FORMULAS",
     "compile_formula",
-    "compile_via_derivatives",
     "parse",
     "GridConfig",
     "GridWorld",

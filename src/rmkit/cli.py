@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ground.add_argument("--traces", required=True, help="trace CSV path")
     p_ground.add_argument("--map", help="grid map file (defaults to the standard grid)")
     p_ground.add_argument("--epochs", type=int, default=100)
-    p_ground.add_argument("--hidden", type=int, default=64)
     p_ground.add_argument("--seed", type=int, default=0)
     p_ground.add_argument("--out", required=True, help="checkpoint path (.npz)")
 
@@ -89,8 +88,11 @@ def _file_errors(path: str, verb: str):
 
 
 def _read(path: str) -> str:
-    with _file_errors(path, "read"), open(path) as fh:
-        return fh.read()
+    with _file_errors(path, "read"), open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise InputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _write(path: str, text: str):
@@ -136,7 +138,7 @@ def cmd_urs(args) -> int:
     oracle = _oracle(args.oracle)
     machine = automata.deserialize(_read(args.machine))
     report = shortcuts.find_urs(machine)
-    with _file_errors(args.out, "write"), open(args.out, "w") as fh:  # streamed: 8 symbols make 218 MB
+    with _file_errors(args.out, "write"), open(args.out, "w") as fh:
         fh.writelines(shortcuts.iter_report_csv(report))
     timing_lines = [
         f"algorithm_seconds = {report.timings['total']:.6f}",
@@ -171,8 +173,8 @@ def cmd_urs(args) -> int:
 
 
 def cmd_ground(args) -> int:
-    if args.hidden < 1 or args.seed < 0 or args.epochs < 1:
-        raise UsageError("ground needs --hidden >= 1, --seed >= 0 and --epochs >= 1")
+    if args.seed < 0 or args.epochs < 1:
+        raise UsageError("ground needs --seed >= 0 and --epochs >= 1")
     machine = automata.deserialize(_read(args.machine))
     grid = _load_grid(args)
     traces = gridworld.traces_from_csv(_read(args.traces), grid,
@@ -181,13 +183,13 @@ def cmd_ground(args) -> int:
         raise InputError("trace file holds no episodes")
     params = nrm.params_from_machine(machine)
     rng = np.random.default_rng(args.seed)
-    grounder = Grounder(rng, 2, len(machine.alphabet), hidden=args.hidden)
+    grounder = Grounder(rng, 2, len(machine.alphabet))
     nrm.train_grounder(params, grounder, traces, epochs=args.epochs, rng=rng)
     named = {f"p{i}": p for i, p in enumerate(grounder.params())}
     with _file_errors(args.out, "write"):
         save_params(args.out, named, meta={
             "kind": "grounder",
-            "hidden": args.hidden,
+            "hidden": grounder.fc1.w.data.shape[1],
             "symbols": len(machine.alphabet),
             "seed": args.seed,
         })

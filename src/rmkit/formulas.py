@@ -11,12 +11,9 @@ only allowed immediately above atoms inside ``G``; disjunction, ``Until``
 and ``Next`` are out of scope.  Symbols are mutually exclusive (one per
 time step), which is what lets sequenced visits compile to plain chains.
 
-Two independent compilation routes are provided.  :func:`compile_formula`
-builds per-pattern template acceptors and combines them with synchronized
-products; :func:`compile_via_derivatives` instead expands symbol-wise
-residuals of the formula (each machine state is a normalized residual).
-Both end in minimization and potential shaping, and agreeing outputs from
-the two routes is a standing cross-check.
+:func:`compile_formula` builds per-pattern template acceptors, combines
+them with synchronized products, and ends in minimization and potential
+shaping.  F(...) may nest at most 100 levels deep (``_MAX_F_DEPTH``).
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ __all__ = [
     "Globally",
     "parse",
     "compile_formula",
-    "compile_via_derivatives",
     "TASK_ALPHABET",
     "TASK_FORMULAS",
 ]
@@ -90,6 +86,7 @@ class Globally:
 # Parsing
 
 _PUNCT = {"&", "!", "(", ")"}
+_MAX_F_DEPTH = 100  # F(...) nesting accepted; parsing and compiling recurse once per level
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -120,6 +117,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open F(...) levels
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", "", len(self.text))
@@ -147,10 +145,7 @@ class _Parser:
     def term(self):
         kind, val, at = self.next()
         if kind == "name" and val == "F" and self.peek()[1] == "(":
-            self.expect("(")
-            body = self.f_body()
-            self.expect(")")
-            return Eventually(body)
+            return self.eventually()
         if kind == "name" and val == "G" and self.peek()[1] == "(":
             self.expect("(")
             body = self.g_body()
@@ -163,6 +158,17 @@ class _Parser:
         if val == "!":
             raise UnsupportedConstructError("negation is only supported inside G(...)")
         raise FormulaSyntaxError(f"expected F(...), G(...) or atom, found {val or 'end of input'!r}", at)
+
+    def eventually(self):
+        """``F(body)`` after its ``F`` token."""
+        self.depth += 1
+        if self.depth > _MAX_F_DEPTH:
+            raise UnsupportedConstructError(f"F(...) nested more than {_MAX_F_DEPTH} deep is not supported")
+        self.expect("(")
+        body = self.f_body()
+        self.expect(")")
+        self.depth -= 1
+        return Eventually(body)
 
     def f_body(self):
         # atom | nested F-chain | atom & F-chain (either order)
@@ -186,10 +192,7 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == "name" and val == "F" and self._lookahead_is_paren():
             self.next()
-            self.expect("(")
-            body = self.f_body()
-            self.expect(")")
-            return Eventually(body)
+            return self.eventually()
         if kind == "name":
             self.next()
             return Atom(val)
@@ -241,7 +244,7 @@ def _atoms(node) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Route 1: pattern templates + synchronized product
+# Pattern templates + synchronized product
 
 
 def _chain_symbols(term: Eventually) -> list[str]:
@@ -320,92 +323,4 @@ def compile_formula(formula, alphabet) -> MooreMachine:
     for term in _top_terms(formula):
         t = _term_template(term, alphabet)
         acceptor = t if acceptor is None else product_conjunction(acceptor, t)
-    return minimize(shape_rewards(minimize(acceptor)))
-
-
-# ---------------------------------------------------------------------------
-# Route 2: symbol-wise residual expansion (independent cross-check)
-#
-# A residual is kept as a DNF over F/G base terms: a frozenset of clauses,
-# each clause a frozenset of AST nodes.  TRUE is the singleton {empty
-# clause}; FALSE the empty set.  Absorption keeps the representation
-# canonical for the monotone combinations that derivatives generate.
-
-_TRUE = frozenset({frozenset()})
-_FALSE = frozenset()
-
-
-def _absorb(clauses) -> frozenset:
-    cl = sorted(set(clauses), key=len)
-    kept = []
-    for c in cl:
-        if not any(k <= c for k in kept):
-            kept.append(c)
-    return frozenset(kept)
-
-
-def _dnf_or(a: frozenset, b: frozenset) -> frozenset:
-    return _absorb(a | b)
-
-
-def _dnf_and(a: frozenset, b: frozenset) -> frozenset:
-    return _absorb({ca | cb for ca in a for cb in b})
-
-
-def _residual(node, symbol: str) -> frozenset:
-    if isinstance(node, Atom):
-        return _TRUE if node.name == symbol else _FALSE
-    if isinstance(node, Not):
-        return _FALSE if node.body.name == symbol else _TRUE
-    if isinstance(node, And):
-        out = _TRUE
-        for item in node.items:
-            out = _dnf_and(out, _residual(item, symbol))
-        return out
-    if isinstance(node, Eventually):
-        return _dnf_or(_residual(node.body, symbol), frozenset({frozenset({node})}))
-    if isinstance(node, Globally):
-        return _dnf_and(_residual(node.body, symbol), frozenset({frozenset({node})}))
-    raise UnsupportedConstructError(f"unsupported node: {node!r}")
-
-
-def _state_residual(state: frozenset, symbol: str) -> frozenset:
-    out = _FALSE
-    for clause in state:
-        r = _TRUE
-        for term in clause:
-            r = _dnf_and(r, _residual(term, symbol))
-        out = _dnf_or(out, r)
-    return out
-
-
-def _accepting(state: frozenset) -> bool:
-    # F obligations are unsatisfiable on the empty continuation; G terms are
-    # vacuously true, so a clause with no F terms accepts.
-    return any(all(not isinstance(t, Eventually) for t in clause) for clause in state)
-
-
-def compile_via_derivatives(formula, alphabet) -> MooreMachine:
-    """Residual-expansion compiler; must agree with :func:`compile_formula`."""
-    if isinstance(formula, str):
-        formula = parse(formula)
-    alphabet = _check_alphabet(formula, alphabet)
-    start = frozenset({frozenset(_top_terms(formula))})
-    index = {start: 0}
-    order = [start]
-    trans_rows: list[list[int]] = []
-    i = 0
-    while i < len(order):
-        state = order[i]
-        row = []
-        for symbol in alphabet:
-            nxt = _state_residual(state, symbol)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        trans_rows.append(row)
-        i += 1
-    outputs = tuple(int(_accepting(s)) for s in order)
-    acceptor = MooreMachine(alphabet, tuple(tuple(r) for r in trans_rows), outputs, ACCEPTOR_CLASSES)
     return minimize(shape_rewards(minimize(acceptor)))

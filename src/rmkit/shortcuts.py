@@ -71,14 +71,10 @@ def format_map(alpha: Sequence[int], alphabet: Sequence[str]) -> str:
 
 
 def enumerate_maps(n_symbols: int) -> Iterator[tuple[int, ...]]:
-    """All |P|^|P| renamings: the identity first, the rest lexicographic."""
+    """All |P|^|P| renamings in lexicographic order."""
     if n_symbols < 1:
         raise InputError("alphabet must have at least one symbol")
-    ident = identity_map(n_symbols)
-    yield ident
-    for alpha in itertools.product(range(n_symbols), repeat=n_symbols):
-        if alpha != ident:
-            yield alpha
+    return itertools.product(range(n_symbols), repeat=n_symbols)
 
 
 def is_working(m: MooreMachine, alpha: Sequence[int], dataset) -> bool:
@@ -103,7 +99,7 @@ class UrsReport:
 
     alphabet: tuple[str, ...]
     images: tuple[tuple[int, ...], ...]  # images[p]: the alpha(p) that pass level 1, ascending
-    candidates: np.ndarray  # [N, P] int, the level-1 product (identity first, then lexicographic)
+    candidates: np.ndarray  # [N, P] int, the level-1 product in lexicographic order
     survived: np.ndarray  # [N] bool, per product row
     iterations: np.ndarray  # [N] int, level at which each product row resolved
     peak_pairs: np.ndarray  # [N] int, largest frontier reached per product row
@@ -144,7 +140,7 @@ def _level1_images(m: MooreMachine) -> tuple[tuple[int, ...], ...]:
 
 
 def _product_array(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """The Cartesian product of ``images`` as rows: the identity first, the rest lexicographic."""
+    """The Cartesian product of ``images`` as rows, lexicographic since each image set is ascending."""
     sizes = [len(a) for a in images]
     total = math.prod(sizes)
     rows = np.empty((total, len(images)), dtype=np.int64)
@@ -153,12 +149,10 @@ def _product_array(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
         inner //= sizes[p]
         # column p cycles through a, each value repeated over the later columns' span
         rows.reshape(-1, sizes[p], inner, len(images))[:, :, :, p] = np.array(a)[:, np.newaxis]
-    ident_row = int(np.ravel_multi_index([a.index(p) for p, a in enumerate(images)], sizes))
-    order = np.concatenate(([ident_row], np.arange(ident_row), np.arange(ident_row + 1, total)))
-    return rows[order]
+    return rows
 
 
-_BLOCK_ROWS = 1 << 16  # rows advanced per scatter in the level loop
+_BLOCK_ROWS = 1 << 16  # rows per scatter in the level loop and per block of report text
 _MAX_ROWS = 1 << 22  # level-1 product cap; task 1 over 9 symbols, 3.3M rows, peaks at 950 MB
 
 
@@ -321,37 +315,21 @@ def urs_oracle_bounded(m: MooreMachine, max_len: int) -> frozenset[tuple[int, ..
 
 
 def report_to_csv(report: UrsReport) -> str:
-    """Deterministic CSV: one row per renaming (lexicographic), then a TOTAL row.
+    """Deterministic CSV: one row per level-1 product renaming (lexicographic), then a TOTAL row.
 
-    A renaming outside the level-1 product is written as died at level 1.
-    Wall-times are deliberately excluded; identical inputs must yield
-    bit-identical files.
+    A renaming with no row died at level 1.  Wall-times are deliberately
+    excluded; identical inputs must yield bit-identical files.
     """
     return "".join(iter_report_csv(report))
 
 
 def iter_report_csv(report: UrsReport) -> Iterator[str]:
-    """The text of :func:`report_to_csv` in blocks, one per leading-symbols prefix."""
-    names, k = report.alphabet, len(report.alphabet)
-    # the separator of format_map is fixed unless name lengths are mixed;
-    # then each row is formatted whole
-    short = {len(n) == 1 for n in names}
-    sep = "" if short == {True} else ","
-    n_tail = min(k, 3) if len(short) == 1 else k
-    tails = [format_map(t, names) for t in itertools.product(range(k), repeat=n_tail)]
-    tail_in = [all(r in report.images[k - n_tail + j] for j, r in enumerate(t))
-               for t in itertools.product(range(k), repeat=n_tail)]
-    dead = [""] + [f"{text},0,1\n" for text in tails]
-    # product rows in lexicographic order, met in that order by the walk below
-    order = np.lexsort(report.candidates.T[::-1])
-    status = (f"{s},{i}" for s, i in zip(report.survived[order].astype(np.int64).tolist(),
-                                         report.iterations[order].tolist()))
+    """The text of :func:`report_to_csv` in blocks of ``_BLOCK_ROWS`` rows."""
     yield "alpha,survived,iterations\n"
-    for head in itertools.product(range(k), repeat=k - n_tail):
-        lead = format_map(head, names) + sep if head else ""
-        if all(r in report.images[p] for p, r in enumerate(head)):
-            yield "".join(f"{lead}{text},{next(status) if inside else '0,1'}\n"
-                          for text, inside in zip(tails, tail_in))
-        else:  # a prefix outside the product: every completion died at level 1
-            yield lead.join(dead)
+    for lo in range(0, len(report.candidates), _BLOCK_ROWS):
+        rows = zip(report.candidates[lo:lo + _BLOCK_ROWS].tolist(),
+                   report.survived[lo:lo + _BLOCK_ROWS].astype(np.int64).tolist(),
+                   report.iterations[lo:lo + _BLOCK_ROWS].tolist())
+        yield "".join(f"{format_map(alpha, report.alphabet)},{alive},{level}\n"
+                      for alpha, alive, level in rows)
     yield f"TOTAL,{report.count},{report.levels}\n"

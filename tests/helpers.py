@@ -9,11 +9,22 @@ from hypothesis import strategies as st
 
 from rmkit import diffkit as dk
 from rmkit import shortcuts
-from rmkit.automata import MooreMachine, minimize, run_string
+from rmkit.automata import ACCEPTOR_CLASSES, MooreMachine, minimize, run_string, shape_rewards
 from rmkit.config import CONFIG_HEADER
 from rmkit.diffkit import Value
-from rmkit.errors import MachineFormatError
-from rmkit.formulas import TASK_ALPHABET, TASK_FORMULAS
+from rmkit.errors import MachineFormatError, UnsupportedConstructError
+from rmkit.formulas import (
+    TASK_ALPHABET,
+    TASK_FORMULAS,
+    And,
+    Atom,
+    Eventually,
+    Globally,
+    Not,
+    _check_alphabet,
+    _top_terms,
+    parse,
+)
 from rmkit.gridworld import GridConfig
 from rmkit.networks import CKPT_VERSION, OneHotGrounder
 from rmkit.nrm import forward
@@ -159,15 +170,17 @@ def full_table_urs(m: MooreMachine) -> tuple[list[tuple[int, ...]], str]:
     """Survivors and report CSV from the level loop run on every renaming.
 
     The reference for find_urs, which searches only the level-1 product:
-    here all |P|^|P| rows enter level 1, and the CSV lists each in
-    lexicographic order with its own verdict.
+    here all |P|^|P| rows enter level 1, and the CSV lists in lexicographic
+    order every renaming that did not die at level 1, each with its own
+    verdict.
     """
     cand = np.array(list(shortcuts.enumerate_maps(len(m.alphabet))), dtype=np.int64)
     alive, iterations, _, levels = shortcuts._search_chunk(m, cand, True, True)
     survivors = [tuple(int(v) for v in row) for row in cand[alive]]
     lines = ["alpha,survived,iterations"]
-    for i in np.lexsort(cand.T[::-1]):
-        lines.append(f"{shortcuts.format_map(cand[i], m.alphabet)},{int(alive[i])},{int(iterations[i])}")
+    for alpha, ok, level in zip(cand, alive, iterations):
+        if level != 1:
+            lines.append(f"{shortcuts.format_map(alpha, m.alphabet)},{int(ok)},{int(level)}")
     lines.append(f"TOTAL,{len(survivors)},{levels}")
     return survivors, "\n".join(lines) + "\n"
 
@@ -251,3 +264,95 @@ def chained_lstm_cell(cell, x: Value, state):
     o = dk.sigmoid(dk.take(gates, 3))
     c_new = f * c + i * g
     return o * dk.tanh(c_new), c_new
+
+
+# ---------------------------------------------------------------------------
+# A second formula compiler: symbol-wise residual expansion, the
+# independent cross-check of rmkit.formulas.compile_formula
+#
+# A residual is kept as a DNF over F/G base terms: a frozenset of clauses,
+# each clause a frozenset of AST nodes.  TRUE is the singleton {empty
+# clause}; FALSE the empty set.  Absorption keeps the representation
+# canonical for the monotone combinations that derivatives generate.
+
+_TRUE = frozenset({frozenset()})
+_FALSE = frozenset()
+
+
+def _absorb(clauses) -> frozenset:
+    cl = sorted(set(clauses), key=len)
+    kept = []
+    for c in cl:
+        if not any(k <= c for k in kept):
+            kept.append(c)
+    return frozenset(kept)
+
+
+def _dnf_or(a: frozenset, b: frozenset) -> frozenset:
+    return _absorb(a | b)
+
+
+def _dnf_and(a: frozenset, b: frozenset) -> frozenset:
+    return _absorb({ca | cb for ca in a for cb in b})
+
+
+def _residual(node, symbol: str) -> frozenset:
+    if isinstance(node, Atom):
+        return _TRUE if node.name == symbol else _FALSE
+    if isinstance(node, Not):
+        return _FALSE if node.body.name == symbol else _TRUE
+    if isinstance(node, And):
+        out = _TRUE
+        for item in node.items:
+            out = _dnf_and(out, _residual(item, symbol))
+        return out
+    if isinstance(node, Eventually):
+        return _dnf_or(_residual(node.body, symbol), frozenset({frozenset({node})}))
+    if isinstance(node, Globally):
+        return _dnf_and(_residual(node.body, symbol), frozenset({frozenset({node})}))
+    raise UnsupportedConstructError(f"unsupported node: {node!r}")
+
+
+def _state_residual(state: frozenset, symbol: str) -> frozenset:
+    out = _FALSE
+    for clause in state:
+        r = _TRUE
+        for term in clause:
+            r = _dnf_and(r, _residual(term, symbol))
+        out = _dnf_or(out, r)
+    return out
+
+
+def _accepting(state: frozenset) -> bool:
+    # F obligations are unsatisfiable on the empty continuation; G terms are
+    # vacuously true, so a clause with no F terms accepts.
+    return any(all(not isinstance(t, Eventually) for t in clause) for clause in state)
+
+
+def compile_via_derivatives(formula, alphabet) -> MooreMachine:
+    """Residual-expansion compiler; must agree with :func:`rmkit.formulas.compile_formula`.
+
+    Each machine state is a normalized residual of the formula.
+    """
+    if isinstance(formula, str):
+        formula = parse(formula)
+    alphabet = _check_alphabet(formula, alphabet)
+    start = frozenset({frozenset(_top_terms(formula))})
+    index = {start: 0}
+    order = [start]
+    trans_rows: list[list[int]] = []
+    i = 0
+    while i < len(order):
+        state = order[i]
+        row = []
+        for symbol in alphabet:
+            nxt = _state_residual(state, symbol)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            row.append(index[nxt])
+        trans_rows.append(row)
+        i += 1
+    outputs = tuple(int(_accepting(s)) for s in order)
+    acceptor = MooreMachine(alphabet, tuple(tuple(r) for r in trans_rows), outputs, ACCEPTOR_CLASSES)
+    return minimize(shape_rewards(minimize(acceptor)))

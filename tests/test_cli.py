@@ -100,6 +100,16 @@ class TestUrs:
         main(["urs", "--machine", str(task1_machine_file), "--jobs", "2", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_report_lists_the_level1_product_only(self, tmp_path, compile_formula):
+        # task 1 over a..h: 8**8 renamings, of which 186,624 pass level 1
+        mm, out = tmp_path / "t1h.mm", tmp_path / "r.csv"
+        mm.write_text(automata.serialize(compile_formula("F(a) & F(b)", tuple("abcdefgh"))))
+        assert main(["urs", "--machine", str(mm), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.count("\n") == 186_626
+        assert text.startswith("alpha,survived,iterations\n")
+        assert text.splitlines()[-1].startswith("TOTAL,93312,")
+
     def test_malformed_machine_file(self, tmp_path):
         bad = tmp_path / "bad.mm"
         bad.write_text("mooremachine v1\nalphabet a b\nclasses 0 1\ninitial 0\nstates 1\n"
@@ -225,6 +235,7 @@ class TestBadArguments:
         traces = tmp_path / "traces.csv"
         traces.write_text(traces_to_csv(synth_dataset(DEFAULT_CONFIG, task_machines[1], n=2)))
         (tmp_path / "afile").write_text("")
+        (tmp_path / "latin1").write_bytes(b"mooremachine v1\n\xff\n")
         for name, row in (("abc", "0,abc"), ("short", "0"), ("nan", "0,nan"), ("ep", "x,1.0")):
             (tmp_path / f"{name}.csv").write_text(f"episode,return\n0,1.0\n\n{row}\n")
         for name, steps in (("gap", ((0, 0), (0, 1), (0, 5))), ("neg", ((0, 0), (1, 3), (1, -2)))):
@@ -243,8 +254,7 @@ class TestBadArguments:
         ("train --task 1 --agent rm --episodes 0 --out {tmp}/o", 2, "must all be positive"),
         ("train --task 1 --agent rm --episodes 1 --seeds 0 --out {tmp}/afile/o", 2,
          "cannot write {tmp}/afile/o: Not a directory"),
-        (_GROUND + " --hidden -1 --out {tmp}/g.npz", 1, "--hidden >= 1"),
-        (_GROUND + " --hidden 0 --out {tmp}/g.npz", 1, "--hidden >= 1"),
+        (_GROUND + " --hidden 64 --out {tmp}/g.npz", 1, "unrecognized arguments: --hidden 64"),
         (_GROUND + " --seed=-1 --out {tmp}/g.npz", 1, "--seed >= 0"),
         ("ground --machine {mm} --traces {traces} --epochs 0 --out {tmp}/g.npz", 1, "--epochs >= 1"),
         ("ground --machine {mm} --traces {traces} --epochs=-3 --out {tmp}/g.npz", 1,
@@ -267,6 +277,17 @@ class TestBadArguments:
         ("urs --machine {mm} --oracle bounded:0 --out {tmp}/o", 1, "bounded:<L> with L >= 1"),
         ("urs --machine {mm} --oracle bounded:-3 --out {tmp}/o", 1, "bounded:<L> with L >= 1"),
         ("urs --machine {tmp}/nope.mm --oracle bounded:x --out {tmp}/o", 1, "bad oracle spec"),
+        ("compile --formula " + "F(" * 500 + "a" + ")" * 500, 2, "nested more than 100 deep"),
+        ("compile --formula " + "F(a&" * 400 + "F(b)" + ")" * 400, 2, "nested more than 100 deep"),
+        ("train --task " + "F(" * 500 + "a" + ")" * 500 + " --agent rm --episodes 1 --out {tmp}/t",
+         2, "nested more than 100 deep"),
+        ("urs --machine {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
+        ("ground --machine {mm} --traces {tmp}/latin1 --out {tmp}/o", 2,
+         "cannot read {tmp}/latin1: not UTF-8 text"),
+        ("ground --machine {mm} --traces {traces} --map {tmp}/latin1 --out {tmp}/o", 2,
+         "cannot read {tmp}/latin1: not UTF-8 text"),
+        ("train --config {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
+        ("plot {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
     ])
     def test_exits_with_a_message(self, files, capsys, argv, code, message):
         assert main([arg.format(**files) for arg in argv.split()]) == code
@@ -428,7 +449,7 @@ def test_fuzz_trace_csv(rows):
         mm.write_text(automata.serialize(machine))
         traces.write_text("\n".join(["episode,t,x,y,reward_class,scalar_reward", *rows]) + "\n")
         code = main(["ground", "--machine", str(mm), "--traces", str(traces), "--epochs", "1",
-                     "--hidden", "4", "--out", str(Path(tmp) / "g.npz")])
+                     "--out", str(Path(tmp) / "g.npz")])
         assert code in (0, 1, 2)
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import TASK_ALPHABET, TASK_FORMULAS, all_strings, restrict_alphabet
+from helpers import (
+    TASK_ALPHABET,
+    TASK_FORMULAS,
+    all_strings,
+    compile_via_derivatives,
+    restrict_alphabet,
+)
 from rmkit.automata import equivalent, run_string, serialize
 from rmkit.errors import FormulaSyntaxError, InputError, UnsupportedConstructError
 from rmkit.formulas import (
@@ -11,7 +17,6 @@ from rmkit.formulas import (
     Globally,
     Not,
     compile_formula,
-    compile_via_derivatives,
     parse,
 )
 
