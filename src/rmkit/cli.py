@@ -189,7 +189,7 @@ def cmd_ground(args) -> int:
     with _file_errors(args.out, "write"):
         save_params(args.out, named, meta={
             "kind": "grounder",
-            "hidden": grounder.fc1.w.data.shape[1],
+            "hidden": grounder.hidden,
             "symbols": len(machine.alphabet),
             "seed": args.seed,
         })
@@ -220,6 +220,7 @@ def cmd_train(args) -> int:
         except ValueError:
             raise UsageError(f"--seeds wants comma-separated integers, got {args.seeds!r}") from None
         train_cfg = dataclasses.replace(train_cfg, seeds=seeds)
+    training.resolve_task(task)  # a task that does not compile leaves no --out behind
     with _file_errors(args.out, "write"):
         os.makedirs(args.out, exist_ok=True)  # fails before training, not after it
         result = training.run_experiment(task, agent, train_cfg, grid, out_dir=args.out,

@@ -5,10 +5,11 @@ scatters the output adjoint back to its parents; ``Value.backward`` runs
 the recorded graph in reverse topological order and then releases it.
 Shapes up to three axes are supported, which covers everything the package
 needs: MLPs, LSTM cells, and the probabilistic machine recurrence.
-:func:`dense` and :func:`softmax` also take a plain array and then return
+:func:`mlp` and :func:`softmax` also take a plain array and then return
 one, recording nothing: the graph-free mode the agent loop runs in, where
 the rnn agent steps its LSTM with :func:`lstm_cell` and records each update
-window as one :func:`lstm_scan` node.
+window as one :func:`lstm_scan` node.  A fused node runs the numpy
+expressions of the op chain it replaces, in order, so it gives the same bits.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -94,8 +95,8 @@ class Value:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
+            for parent in node._parents:  # a leaf has no closure, so it never enters the walk
+                if parent._backward is not None and id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
@@ -243,31 +244,44 @@ def take(a: Value, index: int, axis=0) -> Value:
     return out
 
 
-def dense(x, w: Value, b: Value, act=None):
-    """One fully connected layer, ``act(x @ w + b)``, with ``act`` None or "tanh".
+def mlp(x, layers, acts):
+    """A stack of dense layers ``act(h @ w + b)`` as one node.
 
-    A Value ``x`` (``[d]`` or ``[B, d]``) gives one graph node whose backward
-    repeats the chained ``matmul``, ``add`` and ``tanh`` closures, so the
-    gradients are the same bits; a plain array gives a plain array.
+    ``layers`` holds ``(w, b)`` Value pairs, ``acts`` each layer's act: "tanh",
+    None or "softmax".  A Value ``x`` (``[d]`` or ``[B, d]``) gives one node
+    whose backward repeats the chained ops' closures layer by layer in
+    reverse; a plain array gives a plain array.
     """
     graph = isinstance(x, Value)
-    data = x.data if graph else x
-    if graph and (data.ndim not in (1, 2) or data.shape[-1] != w.data.shape[0]):
-        raise InputError(f"dense wants x [d] or [B, d] with d = {w.data.shape[0]}, got {data.shape}")
-    z = data @ w.data + b.data
-    if act == "tanh":
-        z = np.tanh(z)
+    h = x.data if graph else x
+    d = layers[0][0].data.shape[0]
+    if h.ndim not in (1, 2) or h.shape[-1] != d:
+        raise InputError(f"mlp wants x [d] or [B, d] with d = {d}, got {h.shape}")
+    hs = []  # each layer's input, then the output
+    for (w, b), act in zip(layers, acts):
+        hs.append(h)
+        h = h @ w.data + b.data
+        if act == "tanh":
+            h = np.tanh(h)
+        elif act == "softmax":
+            h = softmax(h)
     if not graph:
-        return z
-    out = Value(z, (x, w, b))
+        return h
+    hs.append(h)
+    out = Value(h, (x,) + tuple(p for wb in layers for p in wb))
 
     def backward():
         g = out.grad
-        if act == "tanh":
-            g = g * (1.0 - z**2)
-        _accum(b, _unbroadcast(g, b.data.shape))
-        _accum(x, g @ w.data.T)
-        _accum(w, np.outer(data, g) if data.ndim == 1 else data.T @ g)
+        for i in range(len(layers) - 1, -1, -1):
+            (w, b), act, y = layers[i], acts[i], hs[i + 1]
+            if act == "tanh":
+                g = g * (1.0 - y**2)
+            elif act == "softmax":
+                g = y * (g - (g * y).sum(axis=-1, keepdims=True))
+            _accum(b, _unbroadcast(g, b.data.shape))
+            _accum(w, np.outer(hs[i], g) if hs[i].ndim == 1 else hs[i].T @ g)
+            g = g @ w.data.T
+        _accum(x, g)
 
     out._backward = backward
     return out
@@ -368,19 +382,31 @@ def vmean(a: Value, axis=None) -> Value:
     return mul(vsum(a, axis=axis), 1.0 / count)
 
 
+def _nll(pred: np.ndarray, idx, n: int):
+    """Mean NLL of the probabilities ``pred[idx]``, floored so that underflow is a
+    large loss and not an infinity, and ``n`` times its gradient over ``pred``."""
+    picked = np.maximum(pred, _LOG_FLOOR)[idx]
+    g = np.zeros_like(pred)
+    g[idx] = -1.0 / picked  # one target per row, so no index repeats
+    g[pred < _LOG_FLOOR] = 0.0
+    return -np.log(picked).sum() / n, g
+
+
+def _target_index(targets, shape):
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != shape[:-1]:
+        raise InputError(f"targets shape {targets.shape} must match {shape[:-1]}")
+    return tuple(np.indices(targets.shape)) + (targets,), max(targets.size, 1)
+
+
 def cross_entropy(pred: Value, targets, from_logits: bool = False) -> Value:
     """Mean negative log-likelihood of integer targets under pred's last axis.
 
-    ``pred`` holds probabilities by default (rows summing to one) or raw
-    logits with ``from_logits=True``.  Probabilities are floored before the
-    log so that underflow surfaces as a large loss rather than an infinity.
+    ``pred`` holds probabilities by default (rows summing to one, see
+    :func:`_nll`) or raw logits with ``from_logits=True``.
     """
     pred = _wrap(pred)
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != pred.data.shape[:-1]:
-        raise InputError(f"targets shape {targets.shape} must match {pred.data.shape[:-1]}")
-    n = max(targets.size, 1)
-    idx = tuple(np.indices(targets.shape)) + (targets,)
+    idx, n = _target_index(targets, pred.data.shape)
     if from_logits:
         shifted = pred.data - pred.data.max(axis=-1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -396,20 +422,43 @@ def cross_entropy(pred: Value, targets, from_logits: bool = False) -> Value:
 
         out._backward = backward_logits
     else:
-        clipped = np.maximum(pred.data, _LOG_FLOOR)
-        loss = -np.log(clipped[idx]).sum() / n
+        loss, g = _nll(pred.data, idx, n)
         out = Value(loss, (pred,))
 
         def backward_probs():
-            g = np.zeros_like(pred.data)
-            picked = clipped[idx]
-            np.add.at(g, idx, -1.0 / picked)
-            g[pred.data < _LOG_FLOOR] = 0.0
             _accum(pred, out.grad * g / n)
 
         out._backward = backward_probs
     if not np.isfinite(out.data):
         raise NumericsError("cross_entropy produced a non-finite loss")
+    return out
+
+
+def reward_nll(states: Value, mr, targets) -> Value:
+    """``cross_entropy(states @ mr, targets)`` as one node: the grounding loss.
+
+    ``states`` is :func:`pmm_scan`'s ``[..., Q]`` output and ``mr`` the ``[Q, R]``
+    reward matrix, an array (frozen machine) or a Value (machine being
+    learned).  It repeats the chain ``reshape``, ``matmul``, ``reshape``,
+    :func:`cross_entropy`.
+    """
+    mr_val = mr if isinstance(mr, Value) else None
+    mr_data = mr_val.data if mr_val is not None else np.asarray(mr, dtype=np.float64)
+    q = states.data.reshape(-1, states.data.shape[-1])
+    pred = (q @ mr_data).reshape(states.data.shape[:-1] + mr_data.shape[-1:])
+    idx, n = _target_index(targets, pred.shape)
+    loss, g = _nll(pred, idx, n)
+    if not np.isfinite(loss):
+        raise NumericsError("reward_nll produced a non-finite loss")
+    out = Value(loss, (states,) if mr_val is None else (states, mr_val))
+
+    def backward():
+        g_r = (out.grad * g / n).reshape(q.shape[0], -1)
+        _accum(states, (g_r @ mr_data.T).reshape(states.data.shape))
+        if mr_val is not None:
+            _accum(mr_val, q.T @ g_r)
+
+    out._backward = backward
     return out
 
 
@@ -466,21 +515,22 @@ def pmm_scan(q0, p, m) -> Value:
     p_flat = p_data.reshape(b * t_len, n_p)
     m_flat = m_data.reshape(n_p, n_q * n_q)
     a = (p_flat @ m_flat).reshape(b, t_len, n_q, n_q)  # A(t) = sum_i p[:, t, i] * M[i]
-    qs = [q0_data]  # qs[t] = q(t-1)
+    qs = np.empty((t_len + 1, b, 1, n_q))  # qs[t] = q(t-1), one row per sequence
+    qs[0, :, 0] = q0_data
     for t in range(t_len):
-        qs.append((qs[t][:, None] @ a[:, t])[:, 0])
+        np.matmul(qs[t], a[:, t], out=qs[t + 1])
     parents = tuple(v for v in (q0_val, p_val, m_val) if v is not None)
-    out = Value(np.stack(qs[1:], axis=1), parents)
+    out = Value(np.ascontiguousarray(qs[1:, :, 0].swapaxes(0, 1)), parents)
 
     def backward():
         g = out.grad
-        gq = g[:, -1].copy()  # dL/dq(T-1), contiguous like every later carry
-        carried = [gq]
+        carried = np.empty((t_len, b, n_q, 1))  # carried[t] = dL/dq(t), one column per sequence
+        carried[-1, :, :, 0] = g[:, -1]
         for t in range(t_len - 1, 0, -1):
-            gq = g[:, t - 1] + (a[:, t] @ gq[..., None])[..., 0]
-            carried.append(gq)
-        g_all = np.stack(carried[::-1], axis=1)  # [B, T, Q]: dL/dq(t)
-        q_prev = np.stack(qs[:-1], axis=1)  # [B, T, Q]: q(t-1)
+            np.matmul(a[:, t], carried[t], out=carried[t - 1])
+            carried[t - 1, :, :, 0] += g[:, t - 1]
+        g_all = carried[..., 0].swapaxes(0, 1)  # [B, T, Q]: dL/dq(t)
+        q_prev = qs[:-1, :, 0].swapaxes(0, 1)  # [B, T, Q]: q(t-1)
         # dL/dA(t)[q, o] = q(t-1)[q] * dL/dq(t)[o], one [B*T, Q*Q] row per step
         g_a = (q_prev[..., :, None] * g_all[..., None, :]).reshape(b * t_len, n_q * n_q)
         if p_val is not None:
@@ -488,7 +538,7 @@ def pmm_scan(q0, p, m) -> Value:
         if m_val is not None:
             _accum(m_val, (p_flat.T @ g_a).reshape(m_data.shape))
         if q0_val is not None:
-            _accum(q0_val, (a[:, 0] @ g_all[:, 0, :, None])[..., 0])
+            _accum(q0_val, (a[:, 0] @ carried[0])[..., 0])
 
     out._backward = backward
     return out

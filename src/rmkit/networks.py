@@ -15,42 +15,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diffkit import Value, dense, lstm_cell, lstm_scan, softmax
+from .diffkit import Value, lstm_cell, lstm_scan, mlp
 
 CKPT_VERSION = 1
 
 
-class Linear:
-    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        self.w = Value(rng.uniform(-bound, bound, size=(n_in, n_out)))
-        self.b = Value(np.zeros(n_out))
-
-    def __call__(self, x, act=None):
-        return dense(x, self.w, self.b, act)
-
-    def params(self) -> list[Value]:
-        return [self.w, self.b]
+def linear(rng: np.random.Generator, n_in: int, n_out: int) -> tuple[Value, Value]:
+    """One dense layer's ``(w, b)``: Glorot-uniform weights, zero biases."""
+    bound = np.sqrt(6.0 / (n_in + n_out))
+    return Value(rng.uniform(-bound, bound, size=(n_in, n_out))), Value(np.zeros(n_out))
 
 
 class MLP:
     """Fully connected stack with tanh between layers and a linear output."""
 
     def __init__(self, rng, sizes):
-        self.layers = [Linear(rng, a, b) for a, b in zip(sizes, sizes[1:])]
+        self.layers = [linear(rng, a, b) for a, b in zip(sizes, sizes[1:])]
+        self._acts = ("tanh",) * (len(self.layers) - 1) + (None,)
 
     def __call__(self, x):
-        *hidden, last = self.layers
-        for layer in hidden:
-            x = layer(x, "tanh")
-        return last(x)
+        return mlp(x, self.layers, self._acts)
 
     # The graph-free call sites use this name, so a span trace can tell
     # action selection apart from graph builds.
     forward_numpy = __call__
 
     def params(self) -> list[Value]:
-        return [p for layer in self.layers for p in layer.params()]
+        return [p for layer in self.layers for p in layer]
 
 
 class Grounder:
@@ -61,20 +52,19 @@ class Grounder:
     """
 
     def __init__(self, rng, n_in: int, n_symbols: int, hidden: int = 64):
-        self.fc1 = Linear(rng, n_in, hidden)
-        self.fc2 = Linear(rng, hidden, hidden)
-        self.fc3 = Linear(rng, hidden, n_symbols)
-        self.n_symbols = n_symbols
+        self.layers = [linear(rng, n_in, hidden), linear(rng, hidden, hidden),
+                       linear(rng, hidden, n_symbols)]
+        self.hidden, self.n_symbols = hidden, n_symbols
 
     def __call__(self, x):
-        return softmax(self.fc3(self.fc2(self.fc1(x, "tanh"))))
+        return mlp(x, self.layers, ("tanh", None, "softmax"))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Most probable symbol index per input row."""
         return self(np.asarray(x, dtype=np.float64)).argmax(axis=-1)
 
     def params(self) -> list[Value]:
-        return self.fc1.params() + self.fc2.params() + self.fc3.params()
+        return [p for layer in self.layers for p in layer]
 
 
 class OneHotGrounder:

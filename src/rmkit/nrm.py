@@ -22,6 +22,7 @@ learning when the machine tensors are trained too).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,7 +108,14 @@ class ProbTraces:
 
     symbols: Value  # [T, P] or [B, T, P]
     states: Value  # [T, Q] or [B, T, Q]
-    rewards: Value  # [T, R] or [B, T, R]
+    mr: Value | np.ndarray  # [Q, R]: the effective reward matrix the states map through
+
+    @cached_property
+    def rewards(self) -> Value:
+        """Reward-class probabilities ``states @ mr``, [T, R] or [B, T, R]."""
+        q = self.states
+        flat = dk.matmul(dk.reshape(q, (-1, q.shape[-1])), self.mr)
+        return dk.reshape(flat, q.shape[:-1] + flat.shape[-1:])
 
     def decode(self):
         """Most-probable symbolic sequences (argmax per row)."""
@@ -124,8 +132,8 @@ def forward(params: ProbMachineParams, grounder, x_s) -> ProbTraces:
     if x_s.ndim != 2 or x_s.shape[0] == 0:
         raise InputError("x_s must be a nonempty [T, d] state sequence")
     traces = forward_batch(params, grounder, x_s[np.newaxis])
-    return ProbTraces(*(dk.reshape(v, v.data.shape[1:])
-                        for v in (traces.symbols, traces.states, traces.rewards)))
+    return ProbTraces(*(dk.reshape(v, v.data.shape[1:]) for v in (traces.symbols, traces.states)),
+                      traces.mr)
 
 
 def forward_batch(params: ProbMachineParams, grounder, xs, cells=None) -> ProbTraces:
@@ -134,6 +142,7 @@ def forward_batch(params: ProbMachineParams, grounder, xs, cells=None) -> ProbTr
     ``cells``, the ``(rows, inverse)`` of :func:`distinct_rows` over ``xs``'s
     ``[B*T, d]`` rows, runs the grounder once per distinct row and gathers;
     the forward values are the same, and each row's grads are summed first.
+    The training loss reads ``states`` and ``mr``; ``rewards`` is built if read.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[1] == 0:
@@ -150,12 +159,7 @@ def forward_batch(params: ProbMachineParams, grounder, xs, cells=None) -> ProbTr
         raise InputError("grounder output width must match the alphabet")
     x_pp = dk.reshape(flat, (b, t_len, k))
     q0 = np.broadcast_to(params.q0, (b, params.n_states)).copy()
-    x_qp = dk.pmm_scan(q0, x_pp, mt_eff)
-    r = len(params.output_classes)
-    flat_r = dk.matmul(dk.reshape(x_qp, (b * t_len, params.n_states)),
-                       mr_eff if isinstance(mr_eff, Value) else Value(mr_eff))
-    x_rp = dk.reshape(flat_r, (b, t_len, r))
-    return ProbTraces(x_pp, x_qp, x_rp)
+    return ProbTraces(x_pp, dk.pmm_scan(q0, x_pp, mt_eff), mr_eff)
 
 
 class MachineStateTracker:
@@ -211,7 +215,8 @@ def _epoch(params: ProbMachineParams, grounder, groups, order, optimizer: Adam |
     total, steps = 0.0, 0
     for gi in order:
         xs, ys, cells = groups[gi]
-        loss = dk.cross_entropy(forward_batch(params, grounder, xs, cells).rewards, ys)
+        traces = forward_batch(params, grounder, xs, cells)
+        loss = dk.reward_nll(traces.states, traces.mr, ys)
         if optimizer is not None:
             optimizer.zero_grad()
             loss.backward()

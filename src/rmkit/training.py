@@ -29,8 +29,8 @@ import numpy as np
 
 from . import diffkit as dk
 from .automata import MooreMachine
-from .diffkit import Adam, Value, clip_grad_norm, spawn_rngs
-from .errors import InputError
+from .diffkit import Adam, Value, _accum, clip_grad_norm, spawn_rngs
+from .errors import InputError, NumericsError
 from .formulas import TASK_ALPHABET, TASK_FORMULAS, compile_formula
 from .gridworld import ACTIONS, DEFAULT_CONFIG, EpisodeTrace, GridConfig, GridWorld
 from .networks import LSTM, MLP, Grounder, augment_input
@@ -71,30 +71,53 @@ def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
 
 
 def a2c_losses(logits: Value, values: Value, actions, returns):
-    """Combined actor-critic loss plus its components (as floats).
+    """Combined actor-critic loss as one graph node, plus its components (as floats).
 
     Advantages are detached: the policy term moves only the actor, the
     squared error only the critic, and the entropy bonus keeps the policy
-    from collapsing.
+    from collapsing.  The node repeats the expressions of the diffkit op
+    chain it replaces, in order, so its gradients are the same bits.
     """
     actions = np.asarray(actions, dtype=np.int64)
     returns = np.asarray(returns, dtype=np.float64)
-    logp = dk.log_softmax(logits, axis=-1)
-    onehot = np.zeros(logits.data.shape)
+    z, v, inv_t = logits.data, values.data, 1.0 / values.data.size
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    e_sum = e.sum(axis=-1, keepdims=True)
+    logp = shifted - np.log(e_sum)
+    probs = e / e_sum
+    onehot = np.zeros(z.shape)
     onehot[np.arange(len(actions)), actions] = 1.0
-    chosen = dk.vsum(dk.mul(logp, onehot), axis=-1)
-    advantages = returns - values.data
-    policy_loss = -dk.vmean(dk.mul(chosen, advantages))
-    err = values - returns
-    value_loss = dk.vmean(dk.mul(err, err))
-    probs = dk.softmax(logits, axis=-1)
-    entropy = -dk.vmean(dk.vsum(dk.mul(probs, logp), axis=-1))
-    total = COEF_ACTOR * policy_loss + COEF_CRITIC * value_loss - COEF_ENTROPY * entropy
-    return total, {
-        "policy": policy_loss.item(),
-        "value": value_loss.item(),
-        "entropy": entropy.item(),
-    }
+    advantages = returns - v
+    policy_loss = ((logp * onehot).sum(axis=-1) * advantages).sum() * inv_t * -1.0
+    err = v - returns
+    value_loss = (err * err).sum() * inv_t
+    entropy = (probs * logp).sum(axis=-1).sum() * inv_t * -1.0
+    total = policy_loss * COEF_ACTOR + value_loss * COEF_CRITIC + entropy * COEF_ENTROPY * -1.0
+    out = Value(total, (logits, values))
+
+    def backward():
+        g = out.grad
+        g_policy = g * COEF_ACTOR * -1.0 * inv_t
+        g_entropy = g * -1.0 * COEF_ENTROPY * -1.0 * inv_t
+        g_err = g * COEF_CRITIC * inv_t * err
+        g_probs = g_entropy * logp
+        g_logp = (g_policy * advantages)[:, None] * onehot + g_entropy * probs
+        _accum(logits, (g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True))
+               + probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)))
+        _accum(values, g_err + g_err)
+
+    out._backward = backward
+    return out, {"policy": float(policy_loss), "value": float(value_loss), "entropy": float(entropy)}
+
+
+def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """``rng.choice(len(probs), p=probs)``: the same steps, draw and action, minus its checks."""
+    cdf = np.cumsum(probs)
+    if not np.isfinite(cdf[-1]):
+        raise NumericsError("non-finite action probabilities")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 class ActorCriticNets:
@@ -175,7 +198,7 @@ class _MachineFeatures:
         return augment_input(obs, q)
 
     def batch(self, xs) -> Value:
-        return dk.stack(xs)
+        return Value(np.stack(xs))
 
     def cut(self):
         pass
@@ -251,8 +274,7 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
         xs, acts, rews, steps = [], [], [], []
         total = 0.0
         while not env.done:
-            probs = nets.action_probs(x)
-            action = int(rng_actions.choice(len(probs), p=probs))
+            action = sample_action(nets.action_probs(x), rng_actions)
             obs, reward, cls, done = env.step(action)
             total += reward
             xs.append(x)

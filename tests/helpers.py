@@ -11,7 +11,7 @@ from rmkit import diffkit as dk
 from rmkit import shortcuts
 from rmkit.automata import ACCEPTOR_CLASSES, MooreMachine, minimize, run_string, shape_rewards
 from rmkit.config import CONFIG_HEADER
-from rmkit.diffkit import Value
+from rmkit.diffkit import Value, _accum
 from rmkit.errors import MachineFormatError, UnsupportedConstructError
 from rmkit.formulas import (
     TASK_ALPHABET,
@@ -28,7 +28,7 @@ from rmkit.formulas import (
 from rmkit.gridworld import GridConfig
 from rmkit.networks import CKPT_VERSION, OneHotGrounder
 from rmkit.nrm import forward
-from rmkit.training import TrainConfig
+from rmkit.training import COEF_ACTOR, COEF_CRITIC, COEF_ENTROPY, TrainConfig
 
 # published shortcut counts for the eight tasks, identity included
 TASK_URS_COUNTS = {1: 54, 2: 24, 3: 27, 4: 4, 5: 8, 6: 8, 7: 4, 8: 4}
@@ -264,6 +264,67 @@ def chained_lstm_cell(cell, x: Value, state):
     o = dk.sigmoid(dk.take(gates, 3))
     c_new = f * c + i * g
     return o * dk.tanh(c_new), c_new
+
+
+def chained_a2c_losses(logits: Value, values: Value, actions, returns):
+    """The A2C loss recorded op by op: the graph ``training.a2c_losses`` fuses."""
+    actions = np.asarray(actions, dtype=np.int64)
+    returns = np.asarray(returns, dtype=np.float64)
+    logp = dk.log_softmax(logits, axis=-1)
+    onehot = np.zeros(logits.data.shape)
+    onehot[np.arange(len(actions)), actions] = 1.0
+    chosen = dk.vsum(dk.mul(logp, onehot), axis=-1)
+    advantages = returns - values.data
+    policy_loss = -dk.vmean(dk.mul(chosen, advantages))
+    err = values - returns
+    value_loss = dk.vmean(dk.mul(err, err))
+    probs = dk.softmax(logits, axis=-1)
+    entropy = -dk.vmean(dk.vsum(dk.mul(probs, logp), axis=-1))
+    total = COEF_ACTOR * policy_loss + COEF_CRITIC * value_loss - COEF_ENTROPY * entropy
+    return total, {
+        "policy": policy_loss.item(),
+        "value": value_loss.item(),
+        "entropy": entropy.item(),
+    }
+
+
+def list_pmm_scan(q0, p, m) -> Value:
+    """``dk.pmm_scan`` as it was with per-step lists and ``np.stack``: the bit reference."""
+    q0_val = q0 if isinstance(q0, Value) else None
+    p_val = p if isinstance(p, Value) else None
+    m_val = m if isinstance(m, Value) else None
+    q0_data = np.asarray(q0.data if q0_val is not None else q0, dtype=np.float64)
+    p_data = np.asarray(p.data if p_val is not None else p, dtype=np.float64)
+    m_data = np.asarray(m.data if m_val is not None else m, dtype=np.float64)
+    b, t_len, n_p = p_data.shape
+    n_q = q0_data.shape[1]
+    p_flat = p_data.reshape(b * t_len, n_p)
+    m_flat = m_data.reshape(n_p, n_q * n_q)
+    a = (p_flat @ m_flat).reshape(b, t_len, n_q, n_q)
+    qs = [q0_data]
+    for t in range(t_len):
+        qs.append((qs[t][:, None] @ a[:, t])[:, 0])
+    out = Value(np.stack(qs[1:], axis=1), tuple(v for v in (q0_val, p_val, m_val) if v is not None))
+
+    def backward():
+        g = out.grad
+        gq = g[:, -1].copy()
+        carried = [gq]
+        for t in range(t_len - 1, 0, -1):
+            gq = g[:, t - 1] + (a[:, t] @ gq[..., None])[..., 0]
+            carried.append(gq)
+        g_all = np.stack(carried[::-1], axis=1)
+        q_prev = np.stack(qs[:-1], axis=1)
+        g_a = (q_prev[..., :, None] * g_all[..., None, :]).reshape(b * t_len, n_q * n_q)
+        if p_val is not None:
+            _accum(p_val, (g_a @ m_flat.T).reshape(b, t_len, n_p))
+        if m_val is not None:
+            _accum(m_val, (p_flat.T @ g_a).reshape(m_data.shape))
+        if q0_val is not None:
+            _accum(q0_val, (a[:, 0] @ g_all[:, 0, :, None])[..., 0])
+
+    out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------

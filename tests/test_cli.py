@@ -279,8 +279,9 @@ class TestBadArguments:
         ("urs --machine {tmp}/nope.mm --oracle bounded:x --out {tmp}/o", 1, "bad oracle spec"),
         ("compile --formula " + "F(" * 500 + "a" + ")" * 500, 2, "nested more than 100 deep"),
         ("compile --formula " + "F(a&" * 400 + "F(b)" + ")" * 400, 2, "nested more than 100 deep"),
-        ("train --task " + "F(" * 500 + "a" + ")" * 500 + " --agent rm --episodes 1 --out {tmp}/t",
+        ("train --task " + "F(" * 500 + "a" + ")" * 500 + " --agent rm --episodes 1 --out {tmp}/o",
          2, "nested more than 100 deep"),
+        ("train --task 9 --agent rm --episodes 1 --out {tmp}/o", 2, "task id must be 1..8, got 9"),
         ("urs --machine {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
         ("ground --machine {mm} --traces {tmp}/latin1 --out {tmp}/o", 2,
          "cannot read {tmp}/latin1: not UTF-8 text"),

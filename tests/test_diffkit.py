@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grad_close, chained_lstm_cell, numeric_grad
+from helpers import assert_grad_close, chained_lstm_cell, list_pmm_scan, numeric_grad
 from rmkit.diffkit import (
     Adam,
     Value,
@@ -9,17 +9,18 @@ from rmkit.diffkit import (
     clip_grad_norm,
     concat,
     cross_entropy,
-    dense,
     dropout,
     gather_rows,
     log_softmax,
     lstm_scan,
     matmul,
+    mlp,
     mul,
     pmm_scan,
     pmm_step,
     relu,
     reshape,
+    reward_nll,
     sigmoid,
     softmax,
     spawn_rngs,
@@ -137,11 +138,25 @@ class TestGradients:
 
         check_op(build, (3, 3), (3, 4, 2), (2, 3, 3))
 
-    @pytest.mark.parametrize("act", ["tanh", None])
+    @pytest.mark.parametrize("acts", [("tanh", None), (None, "softmax"), ("tanh", "softmax")])
     @pytest.mark.parametrize("x_shape", [(4,), (3, 4)])
-    def test_dense(self, act, x_shape):
+    def test_mlp(self, acts, x_shape):
         weights = np.arange(5.0) - 2.0
-        check_op(lambda x, w, b: vsum(mul(dense(x, w, b, act), weights)), x_shape, (4, 5), (5,))
+
+        def build(x, w1, b1, w2, b2):
+            return vsum(mul(mlp(x, [(w1, b1), (w2, b2)], acts), weights))
+
+        check_op(build, x_shape, (4, 6), (6,), (6, 5), (5,))
+
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_reward_nll(self, learnable):
+        targets = np.array([[0, 2, 1], [2, 2, 0]])
+        mr = np.random.default_rng(14).dirichlet(np.ones(3), size=4)
+
+        def build(q, *m):
+            return reward_nll(softmax(q), softmax(m[0]) if m else mr, targets)
+
+        check_op(build, (2, 3, 4), *([(4, 3)] if learnable else []))
 
     def test_dropout_gradient(self):
         # re-seeding inside the build keeps the mask fixed across evaluations
@@ -174,6 +189,26 @@ class TestPmmScan:
         assert np.array_equal(scan_leaves[0].grad, step_leaves[0].grad)
         assert np.array_equal(scan_leaves[1].grad, step_leaves[1].grad)
         assert np.allclose(scan_leaves[2].grad, step_leaves[2].grad, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_matches_list_reference_bitwise(self, learnable):
+        rng = np.random.default_rng(15)
+        for b, t_len, n_q, n_p in ((1, 1, 3, 2), (3, 6, 4, 2), (7, 15, 5, 5), (2, 40, 8, 3)):
+            arrays = [rng.dirichlet(np.ones(n_q), size=b), rng.dirichlet(np.ones(n_p), size=(b, t_len)),
+                      rng.dirichlet(np.ones(n_q), size=(n_p, n_q))]
+            weights = rng.standard_normal((b, t_len, n_q))
+            outs, grads = [], []
+            for scan in (pmm_scan, list_pmm_scan):
+                leaves = [Value(a.copy()) for a in arrays]
+                args = leaves if learnable else [arrays[0], leaves[1], arrays[2]]
+                out = scan(*args)
+                vsum(mul(out, weights)).backward()
+                outs.append(out.data)
+                grads.append([v.grad for v in args if isinstance(v, Value)])
+            assert np.array_equal(outs[0], outs[1])
+            assert len(grads[0]) == (3 if learnable else 1)
+            for new, ref in zip(*grads):
+                assert np.array_equal(new, ref)
 
     def test_shape_mismatch(self):
         m = np.ones((2, 3, 3)) / 3.0
@@ -270,42 +305,50 @@ class TestGatherRows:
         assert np.array_equal(a.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
 
-class TestDense:
-    @pytest.mark.parametrize("act", ["tanh", None])
+class TestMlp:
+    @pytest.mark.parametrize("acts", [("tanh",), (None,), ("softmax",), ("tanh", "tanh", None),
+                                      ("tanh", None, "softmax")])
     @pytest.mark.parametrize("x_shape", [(4,), (3, 4)])
-    def test_matches_chained_ops_bitwise(self, act, x_shape):
+    def test_matches_chained_ops_bitwise(self, acts, x_shape):
         rng = np.random.default_rng(17)
-        arrays = [rng.standard_normal(x_shape), rng.standard_normal((4, 5)), rng.standard_normal(5)]
+        sizes = (4, 6, 6, 5)[:len(acts)] + (5,)
+        arrays = [rng.standard_normal(x_shape)]
+        for n_in, n_out in zip(sizes, sizes[1:]):
+            arrays += [rng.standard_normal((n_in, n_out)), rng.standard_normal(n_out)]
         weights = rng.standard_normal(x_shape[:-1] + (5,))
         fused_leaves = [Value(a.copy()) for a in arrays]
-        fused = dense(*fused_leaves, act)
+        x, *wb = fused_leaves
+        fused = mlp(x, list(zip(wb[::2], wb[1::2])), acts)
         vsum(mul(fused, weights)).backward()
         chain_leaves = [Value(a.copy()) for a in arrays]
-        x, w, b = chain_leaves
-        chained = add(matmul(x, w), b)
-        if act == "tanh":
-            chained = tanh(chained)
+        chained, *wb = chain_leaves
+        for w, b, act in zip(wb[::2], wb[1::2], acts):
+            chained = add(matmul(chained, w), b)
+            if act == "tanh":
+                chained = tanh(chained)
+            elif act == "softmax":
+                chained = softmax(chained)
         vsum(mul(chained, weights)).backward()
         assert np.array_equal(fused.data, chained.data)
         for a, c in zip(fused_leaves, chain_leaves):
             assert np.array_equal(a.grad, c.grad)
 
-    @pytest.mark.parametrize("act", ["tanh", None])
+    @pytest.mark.parametrize("act", ["tanh", None, "softmax"])
     def test_array_in_array_out(self, act):
         rng = np.random.default_rng(19)
         w, b = Value(rng.standard_normal((4, 5))), Value(rng.standard_normal(5))
         for x in (rng.standard_normal(4), rng.standard_normal((3, 4))):
-            out = dense(x, w, b, act)
+            out = mlp(x, [(w, b)], (act,))
             assert isinstance(out, np.ndarray)
-            assert np.array_equal(out, dense(Value(x), w, b, act).data)
+            assert np.array_equal(out, mlp(Value(x), [(w, b)], (act,)).data)
         assert w.grad is None and b.grad is None
 
     def test_shape_mismatch(self):
         w, b = Value(np.zeros((4, 5))), Value(np.zeros(5))
-        with pytest.raises(InputError):
-            dense(Value(np.zeros(3)), w, b)
-        with pytest.raises(InputError):
-            dense(Value(np.zeros((2, 2, 4))), w, b)
+        for x in (np.zeros(3), np.zeros((2, 2, 4))):
+            for arg in (x, Value(x)):
+                with pytest.raises(InputError):
+                    mlp(arg, [(w, b)], (None,))
 
     def test_softmax_array_in_array_out(self):
         rng = np.random.default_rng(23)
@@ -314,6 +357,37 @@ class TestDense:
                 out = softmax(x, axis=axis)
                 assert isinstance(out, np.ndarray)
                 assert np.array_equal(out, softmax(Value(x), axis=axis).data)
+
+
+class TestRewardNll:
+    @pytest.mark.parametrize("learnable", [False, True])
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 7, 4)])
+    def test_matches_chained_ops_bitwise(self, learnable, shape):
+        rng = np.random.default_rng(29)
+        states = rng.dirichlet(np.ones(4), size=shape[:-1])
+        mr = rng.dirichlet(np.ones(3), size=4)
+        mr[0] = [1.0, 0.0, 0.0]  # exact zeros: floored probabilities get no grad
+        targets = rng.integers(0, 3, size=shape[:-1])
+        states[(0,) * (len(shape) - 1)] = [1.0, 0.0, 0.0, 0.0]
+        targets.flat[0] = 2  # a floored probability: a large loss, no grad through it
+        fused_q, chain_q = Value(states.copy()), Value(states.copy())
+        fused_mr, chain_mr = (Value(mr.copy()), Value(mr.copy())) if learnable else (mr, mr)
+        fused = reward_nll(fused_q, fused_mr, targets)
+        fused.backward()
+        flat = matmul(reshape(chain_q, (-1, 4)), chain_mr if learnable else Value(mr))
+        chained = cross_entropy(reshape(flat, shape[:-1] + (3,)), targets)
+        chained.backward()
+        assert np.array_equal(fused.data, chained.data)
+        assert np.array_equal(fused_q.grad, chain_q.grad)
+        if learnable:
+            assert np.array_equal(fused_mr.grad, chain_mr.grad)
+
+    def test_target_shape_and_non_finite(self):
+        q = Value(np.full((2, 3), 0.5))
+        with pytest.raises(InputError):
+            reward_nll(q, np.eye(3), np.zeros(3, dtype=int))
+        with pytest.raises(NumericsError):
+            reward_nll(q, np.full((3, 2), np.nan), np.zeros(2, dtype=int))
 
 
 class TestForwardValues:

@@ -1,13 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from helpers import make_oracle_grounder
+from helpers import (
+    assert_grad_close,
+    chained_a2c_losses,
+    make_oracle_grounder,
+    numeric_grad,
+)
 from rmkit.diffkit import Value
-from rmkit.errors import InputError
+from rmkit.errors import InputError, NumericsError
 from rmkit.gridworld import DEFAULT_CONFIG, GridWorld, EpisodeTrace
 from rmkit.networks import augment_input
 from rmkit.nrm import MachineStateTracker, params_from_machine
 from rmkit.training import (
+    COEF_CRITIC,
     ActorCriticNets,
     GrounderBuffer,
     TrainConfig,
@@ -17,6 +25,7 @@ from rmkit.training import (
     returns_to_csv,
     run_experiment,
     run_single,
+    sample_action,
     smoothed,
     summary_to_csv,
 )
@@ -88,6 +97,38 @@ class TestA2cPieces:
         values = Value(np.zeros(2))
         _, parts = a2c_losses(logits, values, [0, 1], [0.0, 0.0])
         assert np.isclose(parts["entropy"], np.log(4.0))
+
+    @pytest.mark.parametrize("t_len", [1, 2, 3, 5])
+    def test_matches_chained_losses_bitwise(self, t_len):
+        rng = np.random.default_rng(t_len)
+        for _ in range(20):
+            arrays = (rng.standard_normal((t_len, 4)) * 3, rng.standard_normal(t_len))
+            actions, returns = rng.integers(0, 4, size=t_len), rng.standard_normal(t_len)
+            fused_leaves = [Value(a.copy()) for a in arrays]
+            fused, fused_parts = a2c_losses(*fused_leaves, actions, returns)
+            fused.backward()
+            chain_leaves = [Value(a.copy()) for a in arrays]
+            chained, chain_parts = chained_a2c_losses(*chain_leaves, actions, returns)
+            chained.backward()
+            assert np.array_equal(fused.data, chained.data)
+            assert fused_parts == chain_parts
+            for a, c in zip(fused_leaves, chain_leaves):
+                assert np.array_equal(a.grad, c.grad)
+
+    def test_gradcheck(self):
+        rng = np.random.default_rng(3)
+        logits, values = Value(rng.standard_normal((5, 4))), Value(rng.standard_normal(5))
+        actions, returns = [0, 3, 1, 1, 2], rng.standard_normal(5)
+        a2c_losses(logits, values, actions, returns)[0].backward()
+
+        def total(arr):
+            return a2c_losses(Value(arr), values, actions, returns)[0].item()
+
+        def critic_term(arr):  # advantages are detached: only this term reaches values
+            return COEF_CRITIC * a2c_losses(logits, Value(arr), actions, returns)[1]["value"]
+
+        assert_grad_close(logits.grad, numeric_grad(total, logits.data.copy()), rtol=1e-4)
+        assert_grad_close(values.grad, numeric_grad(critic_term, values.data.copy()), rtol=1e-4)
 
     def test_value_loss_decreases_on_fixed_target(self):
         rng = np.random.default_rng(2)
@@ -252,3 +293,34 @@ class TestSmoothing:
         assert len(lines) == 4
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
         assert rows == [[0.0, 2.0, 1.0, 3.0], [1.0, 2.0, 1.5, 2.5], [2.0, 2.0, 1.5, 2.5]]
+
+
+class TestSampleAction:
+    def test_same_draws_as_generator_choice(self):
+        probs_rng = np.random.default_rng(5)
+        ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(10_000):
+            probs = probs_rng.dirichlet(np.full(4, 0.3))
+            assert sample_action(probs, ours) == theirs.choice(4, p=probs)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probabilities_raise(self, bad):
+        with pytest.raises(NumericsError):
+            sample_action(np.array([0.25, bad, 0.25, 0.25]), np.random.default_rng(0))
+
+
+class TestTrainingBits:
+    # sha256 of the float64 returns, recorded before the A2C update and the
+    # grounder refit became fused diffkit nodes; 125 episodes include one refit
+    PINNED = {
+        "rm": "85ac8f51978b684011075e172d27b088606c06f2a3b40a4ab758303169ceecc5",
+        "nrm": "a262a4bd4e1cc7fe4428d0e7de86d954a92ad43ac763aa4a40c21f86fbf959e7",
+        "rnn": "fe858990404c6a110980b55e522f3b20186d0aeecbda33f0ac9958dc91b0a3dc",
+    }
+
+    @pytest.mark.parametrize("kind", ["rm", "nrm", "rnn"])
+    def test_returns_are_pinned(self, kind):
+        returns = run_single(1, kind, TrainConfig(episodes=125), DEFAULT_CONFIG, 0)
+        digest = hashlib.sha256(np.asarray(returns, dtype=np.float64).tobytes()).hexdigest()
+        assert digest == self.PINNED[kind]
