@@ -8,8 +8,9 @@ needs: MLPs, LSTM cells, and the probabilistic machine recurrence.
 :func:`mlp` and :func:`softmax` also take a plain array and then return
 one, recording nothing: the graph-free mode the agent loop runs in, where
 the rnn agent steps its LSTM with :func:`lstm_cell` and records each update
-window as one :func:`lstm_scan` node.  A fused node runs the numpy
-expressions of the op chain it replaces, in order, so it gives the same bits.
+window from the kept activations as one :func:`lstm_scan` node.  A fused
+node runs the numpy expressions of the op chain it replaces, in order, so
+it gives the same bits.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import InputError, NumericsError
 
 _LOG_FLOOR = 1e-12  # probability floor inside cross_entropy's log
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class Value:
@@ -572,11 +574,13 @@ def lstm_cell(x, h, c, wx, wh, b):
     return o * tc, c, (i, f, g, o, tc)
 
 
-def lstm_scan(h0, c0, xs, wx: Value, wh: Value, b: Value) -> Value:
+def lstm_scan(states, xs, wx: Value, wh: Value, b: Value) -> Value:
     """One LSTM layer over a window ``xs`` (``[T, in]``, array or Value) as one node.
 
-    Runs :func:`lstm_cell` from the constant boundary state ``(h0, c0)`` and
-    returns the hidden states as ``[T, H]``: backprop through time truncated
+    ``states`` are the layer's ``T + 1`` states ``(h, c, acts)`` from
+    :func:`lstm_cell`, starting at the constant boundary state, so the node
+    records the forward that acting already ran and runs none itself.
+    Returns the hidden states as ``[T, H]``: backprop through time truncated
     at the window's start.  Backward is one reverse loop carrying dL/dh and
     dL/dc that fills the ``[T, 4H]`` gate grads ``dz``; the grads of ``b``,
     ``wh``, ``wx`` and ``xs`` then follow from one product each over the
@@ -584,22 +588,18 @@ def lstm_scan(h0, c0, xs, wx: Value, wh: Value, b: Value) -> Value:
     """
     x_val = xs if isinstance(xs, Value) else None
     x_data = x_val.data if x_val is not None else np.asarray(xs, dtype=np.float64)
-    if x_data.ndim != 2 or x_data.shape[0] == 0 or x_data.shape[1] != wx.data.shape[0]:
-        raise InputError(f"lstm_scan wants xs [T>=1, {wx.data.shape[0]}], got {x_data.shape}")
-    hs, cs, acts = [np.asarray(h0, dtype=np.float64)], [np.asarray(c0, dtype=np.float64)], []
-    for x in x_data:
-        h, c, act = lstm_cell(x, hs[-1], cs[-1], wx.data, wh.data, b.data)
-        hs.append(h)
-        cs.append(c)
-        acts.append(act)
+    t_len = len(states) - 1
+    if x_data.shape != (t_len, wx.data.shape[0]) or t_len == 0:
+        raise InputError(f"lstm_scan wants xs [{t_len}>=1, {wx.data.shape[0]}], got {x_data.shape}")
+    hs, cs, acts = zip(*states)
     parents = (wx, wh, b) if x_val is None else (x_val, wx, wh, b)
     out = Value(np.stack(hs[1:]), parents)
 
     def backward():
-        dz = np.empty((len(acts), b.data.size))  # dL/dz(t), z the fused gate input
+        dz = np.empty((t_len, b.data.size))  # dL/dz(t), z the fused gate input
         dh_next = dc_next = 0.0
-        for t in range(len(acts) - 1, -1, -1):
-            i, f, g, o, tc = acts[t]
+        for t in range(t_len - 1, -1, -1):
+            i, f, g, o, tc = acts[t + 1]
             dh = out.grad[t] + dh_next
             dc = dh * o * (1.0 - tc**2) + dc_next
             dz_t = dz[t].reshape(4, -1)
@@ -641,12 +641,9 @@ class Adam:
     nonzero grad stays where it is, because its moments are still zero.
     """
 
-    def __init__(self, params, lr=4e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=4e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         n = sum(p.data.size for p in self.params)
         self.data, self.grad, self.m, self.v = (np.zeros(n) for _ in range(4))
@@ -670,18 +667,18 @@ class Adam:
         # The textbook update, operation for operation, in place:
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
         # upd = lr * (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps).
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=upd)
+        m *= _BETA1
+        np.multiply(g, 1.0 - _BETA1, out=upd)
         m += upd
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=upd)
+        v *= _BETA2
+        np.multiply(g, 1.0 - _BETA2, out=upd)
         upd *= g
         v += upd
-        np.divide(m, 1.0 - self.beta1**t, out=upd)
+        np.divide(m, 1.0 - _BETA1**t, out=upd)
         upd *= self.lr
-        np.divide(v, 1.0 - self.beta2**t, out=den)
+        np.divide(v, 1.0 - _BETA2**t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += _EPS
         upd /= den
         self.data -= upd
 

@@ -27,6 +27,8 @@ MAP_HEADER = "gridmap v1"
 # action order: up, down, left, right
 ACTIONS = ((0, -1), (0, 1), (-1, 0), (1, 0))
 
+MAX_CELLS = 1 << 20  # GridConfig builds a label table of width x height entries
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -47,6 +49,8 @@ class GridConfig:
     def __post_init__(self):
         if self.width < 2 or self.height < 2:
             raise InputError("grid must be at least 2x2")
+        if self.width * self.height > MAX_CELLS:
+            raise InputError(f"grid {self.width}x{self.height} has over {MAX_CELLS} cells")
         if self.t_max < 1:
             raise InputError(f"t_max must be at least 1, got {self.t_max}")
         cells = [cell for cell, _ in self.items]

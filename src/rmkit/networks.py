@@ -7,8 +7,8 @@ softmax, and the recurrent baseline is a two-layer LSTM of width 50.
 
 Each feed-forward network has one forward: a Value in records a graph for
 training, a plain array in gives a plain array, the agent loop's mode.
-The LSTM steps on plain arrays only and records a graph only when a whole
-window is rerun for an update.
+The LSTM steps on plain arrays only and keeps each step's activations, so
+an update records a window from them without running it forward again.
 """
 
 from __future__ import annotations
@@ -100,8 +100,10 @@ class LSTMCell:
 class LSTM:
     """Stacked LSTM (two layers of 50 by default).
 
-    ``step`` advances one time step on plain arrays, recording nothing; ``scan``
-    reruns a window of inputs from a state as one graph node per layer.
+    A state holds one ``(h, c, acts)`` per layer, ``acts`` being the
+    :func:`lstm_cell` activations that produced ``(h, c)``.  ``step``
+    advances one time step on plain arrays, recording nothing; ``scan``
+    records a window of stepped states as one graph node per layer.
     """
 
     def __init__(self, rng, n_in: int, hidden: int = 50, layers: int = 2):
@@ -109,19 +111,20 @@ class LSTM:
         self.cells = [LSTMCell(rng, sizes[i], hidden) for i in range(layers)]
 
     def zero_state(self):
-        return [(np.zeros(cell.hidden), np.zeros(cell.hidden)) for cell in self.cells]
+        return [(np.zeros(cell.hidden), np.zeros(cell.hidden), None) for cell in self.cells]
 
     def step(self, x: np.ndarray, state):
         new_state = []
-        for cell, (h, c) in zip(self.cells, state):
-            x, c, _ = lstm_cell(x, h, c, cell.wx.data, cell.wh.data, cell.b.data)
-            new_state.append((x, c))
+        for cell, (h, c, _) in zip(self.cells, state):
+            x, c, acts = lstm_cell(x, h, c, cell.wx.data, cell.wh.data, cell.b.data)
+            new_state.append((x, c, acts))
         return x, new_state
 
-    def scan(self, state, xs) -> Value:
-        """Top-layer hidden states ``[T, H]`` over inputs ``xs`` ``[T, in]`` from ``state``."""
-        for cell, (h, c) in zip(self.cells, state):
-            xs = lstm_scan(h, c, xs, cell.wx, cell.wh, cell.b)
+    def scan(self, states, xs) -> Value:
+        """Top-layer hidden states ``[T, H]`` of the ``T + 1`` ``states`` that
+        ``step`` made from ``states[0]`` over inputs ``xs`` ``[T, in]``."""
+        for k, cell in enumerate(self.cells):
+            xs = lstm_scan([state[k] for state in states], xs, cell.wx, cell.wh, cell.b)
         return xs
 
     def params(self) -> list[Value]:

@@ -43,7 +43,6 @@ from .errors import InputError
 
 __all__ = [
     "enumerate_maps",
-    "identity_map",
     "apply_map",
     "format_map",
     "is_working",
@@ -51,13 +50,8 @@ __all__ = [
     "urs_oracle_exact",
     "urs_oracle_bounded",
     "UrsReport",
-    "report_to_csv",
     "iter_report_csv",
 ]
-
-
-def identity_map(n_symbols: int) -> tuple[int, ...]:
-    return tuple(range(n_symbols))
 
 
 def apply_map(alpha: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
@@ -168,21 +162,17 @@ def _search_chunk(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
     iterations = np.zeros(big_n, dtype=np.int64)
     peak = np.zeros(big_n, dtype=np.int64)
 
-    # level 1: every length-1 string
+    # level 1: every length-1 string; each image set keeps its pairs good
     q0 = m.initial
-    frontier = np.zeros((big_n, pairs), dtype=bool)
-    frontier[np.arange(big_n)[:, np.newaxis], delta[q0] * n + delta[q0][cand]] = True
-    peak[:] = np.count_nonzero(frontier, axis=1)
-    died = frontier[:, bad_cols].any(axis=1)
-    alive &= ~died
-    iterations[died] = 1
+    act = np.arange(big_n)
+    fr = np.zeros((big_n, pairs), dtype=bool)
+    fr[act[:, np.newaxis], delta[q0] * n + delta[q0][cand]] = True
+    peak[:] = np.count_nonzero(fr, axis=1)
 
-    # the surviving minority advances level by level; candidates drop out of
-    # the active set as soon as they die or their frontier stops growing
-    act = np.flatnonzero(alive)
-    fr = frontier[act]
+    # candidates advance level by level and drop out of the active set as
+    # soon as they die or their frontier stops growing
     vis = fr.copy()
-    ca = cand[act]
+    ca = cand
     level = 1
     cap = pairs + 1
     symbols = np.arange(k)
@@ -314,17 +304,13 @@ def urs_oracle_bounded(m: MooreMachine, max_len: int) -> frozenset[tuple[int, ..
 # Report output
 
 
-def report_to_csv(report: UrsReport) -> str:
-    """Deterministic CSV: one row per level-1 product renaming (lexicographic), then a TOTAL row.
+def iter_report_csv(report: UrsReport) -> Iterator[str]:
+    """Deterministic CSV in blocks of ``_BLOCK_ROWS`` rows: one row per level-1
+    product renaming (lexicographic), then a TOTAL row.
 
     A renaming with no row died at level 1.  Wall-times are deliberately
     excluded; identical inputs must yield bit-identical files.
     """
-    return "".join(iter_report_csv(report))
-
-
-def iter_report_csv(report: UrsReport) -> Iterator[str]:
-    """The text of :func:`report_to_csv` in blocks of ``_BLOCK_ROWS`` rows."""
     yield "alpha,survived,iterations\n"
     for lo in range(0, len(report.candidates), _BLOCK_ROWS):
         rows = zip(report.candidates[lo:lo + _BLOCK_ROWS].tolist(),

@@ -207,10 +207,11 @@ class _MachineFeatures:
 class _LSTMFeatures:
     """rnn: the hidden state of a stacked LSTM run over the observations.
 
-    Acting steps the LSTM on plain arrays.  An update reruns the window's
-    observations from the state at the last cut as one graph node per layer,
-    so backprop is truncated at each update.  After a cut the window's first
-    row is the detached ``h`` the last update bootstrapped from.
+    Acting steps the LSTM on plain arrays and keeps the states since the
+    last cut.  An update records the window's observations and those states
+    as one graph node per layer, so backprop is truncated at each update and
+    nothing runs forward twice.  After a cut the window's first row is the
+    detached ``h`` the last update bootstrapped from.
     """
 
     dim = 50
@@ -220,27 +221,28 @@ class _LSTMFeatures:
         self.params = self.lstm.params()
 
     def reset(self, obs) -> np.ndarray:
-        self.state = self.lstm.zero_state()
-        # boundary state, observations since, detached rows leading the window
-        self.boundary, self.obs, self.head = self.state, [], 0
+        # states from the last cut, observations since, detached rows leading the window
+        self.states, self.obs, self.head = [self.lstm.zero_state()], [], 0
         return self.step(obs)
 
     def step(self, obs) -> np.ndarray:
         obs = np.asarray(obs, float)
         self.obs.append(obs)
-        h, self.state = self.lstm.step(obs, self.state)
+        h, state = self.lstm.step(obs, self.states[-1])
+        self.states.append(state)
         return h
 
     def batch(self, xs) -> Value:
         head, rest = xs[:self.head], xs[self.head:]
         parts = [Value(np.stack(head))] if head else []
         if rest:
-            parts.append(self.lstm.scan(self.boundary, np.stack(self.obs[:len(rest)])))
+            t_len = len(rest)
+            parts.append(self.lstm.scan(self.states[:t_len + 1], np.stack(self.obs[:t_len])))
         return dk.concat(parts)
 
     def cut(self):
         """Start a new window at the current state."""
-        self.boundary, self.obs, self.head = self.state, [], 1
+        self.states, self.obs, self.head = self.states[-1:], [], 1
 
 
 def _grounder_refit(grid: GridConfig, grounder, params, rng):

@@ -170,17 +170,19 @@ def full_table_urs(m: MooreMachine) -> tuple[list[tuple[int, ...]], str]:
     """Survivors and report CSV from the level loop run on every renaming.
 
     The reference for find_urs, which searches only the level-1 product:
-    here all |P|^|P| rows enter level 1, and the CSV lists in lexicographic
-    order every renaming that did not die at level 1, each with its own
-    verdict.
+    here all |P|^|P| rows are filtered by their length-1 strings, the rest
+    enter the level loop, and the CSV lists in lexicographic order every
+    renaming that did not die at level 1, each with its own verdict.
     """
     cand = np.array(list(shortcuts.enumerate_maps(len(m.alphabet))), dtype=np.int64)
+    # a renaming dies at level 1 when a symbol's first output differs from its image's
+    first = np.array([m.outputs[q] for q in m.transitions[m.initial]])
+    cand = cand[(first[cand] == first).all(axis=1)]
     alive, iterations, _, levels = shortcuts._search_chunk(m, cand, True, True)
     survivors = [tuple(int(v) for v in row) for row in cand[alive]]
     lines = ["alpha,survived,iterations"]
     for alpha, ok, level in zip(cand, alive, iterations):
-        if level != 1:
-            lines.append(f"{shortcuts.format_map(alpha, m.alphabet)},{int(ok)},{int(level)}")
+        lines.append(f"{shortcuts.format_map(alpha, m.alphabet)},{int(ok)},{int(level)}")
     lines.append(f"TOTAL,{len(survivors)},{levels}")
     return survivors, "\n".join(lines) + "\n"
 
@@ -252,6 +254,14 @@ def sg_loss(params, grounder, trace) -> Value:
     and the trace's observed reward-class indices."""
     traces = forward(params, grounder, trace.states)
     return dk.cross_entropy(traces.rewards, np.asarray(trace.reward_classes, dtype=np.int64))
+
+
+def step_states(net, state, xs) -> list:
+    """The ``T + 1`` states ``net.step`` makes from ``state`` over the rows of ``xs``."""
+    states = [state]
+    for x in np.asarray(xs, dtype=np.float64):
+        states.append(net.step(x, states[-1])[1])
+    return states
 
 
 def chained_lstm_cell(cell, x: Value, state):

@@ -236,6 +236,7 @@ class TestBadArguments:
         traces.write_text(traces_to_csv(synth_dataset(DEFAULT_CONFIG, task_machines[1], n=2)))
         (tmp_path / "afile").write_text("")
         (tmp_path / "latin1").write_bytes(b"mooremachine v1\n\xff\n")
+        (tmp_path / "huge.cfg").write_text("experiment v1\n[grid]\nwidth = 60000\nheight = 60000\n")
         for name, row in (("abc", "0,abc"), ("short", "0"), ("nan", "0,nan"), ("ep", "x,1.0")):
             (tmp_path / f"{name}.csv").write_text(f"episode,return\n0,1.0\n\n{row}\n")
         for name, steps in (("gap", ((0, 0), (0, 1), (0, 5))), ("neg", ((0, 0), (1, 3), (1, -2)))):
@@ -288,6 +289,7 @@ class TestBadArguments:
         ("ground --machine {mm} --traces {traces} --map {tmp}/latin1 --out {tmp}/o", 2,
          "cannot read {tmp}/latin1: not UTF-8 text"),
         ("train --config {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
+        ("train --config {tmp}/huge.cfg --out {tmp}/o", 2, "grid 60000x60000 has over 1048576 cells"),
         ("plot {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
     ])
     def test_exits_with_a_message(self, files, capsys, argv, code, message):

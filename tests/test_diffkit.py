@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grad_close, chained_lstm_cell, list_pmm_scan, numeric_grad
+from helpers import assert_grad_close, chained_lstm_cell, list_pmm_scan, numeric_grad, step_states
 from rmkit.diffkit import (
     Adam,
     Value,
@@ -229,7 +229,7 @@ class TestLstmScan:
         net = LSTM(rng, 3, hidden=4, layers=layers)
         for p in net.params():  # nonzero biases reach every gate branch
             p.data = rng.standard_normal(p.data.shape) * 0.7
-        state = [(rng.standard_normal(4) * 0.5, rng.standard_normal(4)) for _ in net.cells]
+        state = [(rng.standard_normal(4) * 0.5, rng.standard_normal(4), None) for _ in net.cells]
         return net, state
 
     @pytest.mark.parametrize("layers", [1, 2])
@@ -241,7 +241,9 @@ class TestLstmScan:
         weights = rng.standard_normal((t_len, 4))
 
         def loss():
-            return vsum(mul(net.scan(state, xs), weights))
+            # steps again at every perturbation, so the node is checked
+            # against the forward it records
+            return vsum(mul(net.scan(step_states(net, state, xs.data), xs), weights))
 
         loss().backward()
         for p in net.params() + [xs]:
@@ -261,13 +263,13 @@ class TestLstmScan:
         xs = rng.standard_normal((5, 3))
         weights = rng.standard_normal((5, 4))
         scan_in = Value(xs.copy())
-        scanned = net.scan(state, scan_in)
+        scanned = net.scan(step_states(net, state, xs), scan_in)
         vsum(mul(scanned, weights)).backward()
         scan_grads = [p.grad for p in net.params()] + [scan_in.grad]
         for p in net.params():
             p.grad = None
         chain_in = [Value(x.copy()) for x in xs]
-        states = [(Value(h.copy()), Value(c.copy())) for h, c in state]
+        states = [(Value(h.copy()), Value(c.copy())) for h, c, _ in state]
         rows = []
         for x in chain_in:
             for k, cell in enumerate(net.cells):
@@ -286,9 +288,12 @@ class TestLstmScan:
     def test_shape_mismatch(self):
         net, state = self._net_and_state(1, 0)
         cell = net.cells[0]
-        for xs in (np.zeros((0, 3)), np.zeros((2, 2)), np.zeros(3)):
+        layer = [s[0] for s in step_states(net, state, np.zeros((2, 3)))]
+        for states, xs in ((layer, np.zeros((2, 2))), (layer, np.zeros(3)),
+                           (layer, np.zeros((1, 3))), (layer, np.zeros((3, 3))),
+                           (layer[:1], np.zeros((0, 3)))):
             with pytest.raises(InputError):
-                lstm_scan(*state[0], xs, cell.wx, cell.wh, cell.b)
+                lstm_scan(states, xs, cell.wx, cell.wh, cell.b)
 
 
 class TestGatherRows:
@@ -495,7 +500,7 @@ class TestAdam:
         ref_m = [np.zeros_like(a) for a in init]
         ref_v = [np.zeros_like(a) for a in init]
         lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
-        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam(params, lr=lr)
         for t in range(1, 21):
             opt.zero_grad()
             for i, p in enumerate(params):

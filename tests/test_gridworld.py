@@ -9,6 +9,7 @@ from rmkit.errors import InputError, MachineFormatError, UsageError
 from rmkit.formulas import compile_formula
 from rmkit.gridworld import (
     DEFAULT_CONFIG,
+    MAX_CELLS,
     EpisodeTrace,
     GridConfig,
     GridWorld,
@@ -81,6 +82,11 @@ class TestConfigValidation:
     def test_horizon_below_one(self, t_max):
         with pytest.raises(InputError, match="t_max"):
             GridConfig(t_max=t_max)
+
+    @pytest.mark.parametrize("width, height", [(1 << 20, 2), (60000, 60000)])
+    def test_over_the_cell_cap(self, width, height):
+        with pytest.raises(InputError, match=f"over {MAX_CELLS} cells"):
+            GridConfig(width=width, height=height)
 
     def test_missing_relevant_symbol(self):
         m = compile_formula("F(a) & F(b)", TASK_ALPHABET)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from helpers import assert_grad_close, assign_params, load_params, numeric_grad
+from helpers import assert_grad_close, assign_params, load_params, numeric_grad, step_states
 from rmkit.diffkit import Value, cross_entropy, softmax, vsum, mul
 from rmkit.networks import LSTM, MLP, Grounder, OneHotGrounder, augment_input, save_params
 
@@ -89,7 +89,9 @@ class TestLstm:
         xs = rng.standard_normal((3, 2))
 
         def loss_value():
-            return vsum(mul(net.scan(net.zero_state(), xs), 0.3))
+            # steps again at every perturbation, so the scan is checked
+            # against the forward it records
+            return vsum(mul(net.scan(step_states(net, net.zero_state(), xs), xs), 0.3))
 
         loss = loss_value()
         loss.backward()
@@ -110,14 +112,39 @@ class TestLstm:
         state = net.zero_state()
         for x in xs[:2]:
             _, state = net.step(x, state)
-        rows, stepped = [], state
+        rows, states = [], [state]
         for x in xs[2:]:
-            h, stepped = net.step(x, stepped)
+            h, stepped = net.step(x, states[-1])
             rows.append(h)
-        scanned = net.scan(state, xs[2:])
+            states.append(stepped)
+        scanned = net.scan(states, xs[2:])
         assert isinstance(h, np.ndarray)
         assert np.array_equal(scanned.data, np.stack(rows))
         assert all(p.grad is None for p in net.params())
+
+    def test_scan_and_batch_run_no_cell(self, monkeypatch):
+        from rmkit import diffkit, networks
+        from rmkit.training import _LSTMFeatures
+
+        calls = []
+        cell = diffkit.lstm_cell
+
+        def counting_cell(*args):
+            calls.append(1)
+            return cell(*args)
+
+        monkeypatch.setattr(networks, "lstm_cell", counting_cell)
+        monkeypatch.setattr(diffkit, "lstm_cell", counting_cell)
+        rng = np.random.default_rng(10)
+        features = _LSTMFeatures(np.random.default_rng(11))
+        xs = [features.reset(rng.random(2))] + [features.step(rng.random(2)) for _ in range(4)]
+        assert len(calls) == 2 * 5  # one call per layer per step
+        obs = rng.random((3, 2))
+        states = step_states(features.lstm, features.lstm.zero_state(), obs)
+        calls.clear()
+        vsum(mul(features.batch(xs[:4]), 0.5)).backward()
+        vsum(features.lstm.scan(states, obs)).backward()
+        assert calls == []
 
 
 class TestAugment:
