@@ -200,6 +200,8 @@ def cmd_ground(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     task, agent = args.task, args.agent
     train_cfg = training.TrainConfig()
     grid = _load_grid(args)

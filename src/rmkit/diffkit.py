@@ -10,7 +10,8 @@ one, recording nothing: the graph-free mode the agent loop runs in, where
 the rnn agent steps its LSTM with :func:`lstm_cell` and records each update
 window from the kept activations as one :func:`lstm_scan` node.  A fused
 node runs the numpy expressions of the op chain it replaces, in order, so
-it gives the same bits.
+it gives the same bits.  :func:`mlp`'s two halves, :func:`mlp_forward` and
+:func:`mlp_backward`, also run without a node, in the grounder refit.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -255,38 +256,47 @@ def mlp(x, layers, acts):
     reverse; a plain array gives a plain array.
     """
     graph = isinstance(x, Value)
-    h = x.data if graph else x
+    hs = mlp_forward(x.data if graph else x, layers, acts)
+    if not graph:
+        return hs[-1]
+    out = Value(hs[-1], (x,) + tuple(p for wb in layers for p in wb))
+
+    def backward():
+        _accum(x, mlp_backward(out.grad, hs, layers, acts))
+
+    out._backward = backward
+    return out
+
+
+def mlp_forward(h: np.ndarray, layers, acts) -> list:
+    """:func:`mlp`'s forward on a plain array: each layer's input, then the output."""
     d = layers[0][0].data.shape[0]
     if h.ndim not in (1, 2) or h.shape[-1] != d:
         raise InputError(f"mlp wants x [d] or [B, d] with d = {d}, got {h.shape}")
-    hs = []  # each layer's input, then the output
+    hs = [h]
     for (w, b), act in zip(layers, acts):
-        hs.append(h)
         h = h @ w.data + b.data
         if act == "tanh":
             h = np.tanh(h)
         elif act == "softmax":
             h = softmax(h)
-    if not graph:
-        return h
-    hs.append(h)
-    out = Value(h, (x,) + tuple(p for wb in layers for p in wb))
+        hs.append(h)
+    return hs
 
-    def backward():
-        g = out.grad
-        for i in range(len(layers) - 1, -1, -1):
-            (w, b), act, y = layers[i], acts[i], hs[i + 1]
-            if act == "tanh":
-                g = g * (1.0 - y**2)
-            elif act == "softmax":
-                g = y * (g - (g * y).sum(axis=-1, keepdims=True))
-            _accum(b, _unbroadcast(g, b.data.shape))
-            _accum(w, np.outer(hs[i], g) if hs[i].ndim == 1 else hs[i].T @ g)
-            g = g @ w.data.T
-        _accum(x, g)
 
-    out._backward = backward
-    return out
+def mlp_backward(g: np.ndarray, hs, layers, acts) -> np.ndarray:
+    """Accumulate the layers' grads from the output adjoint ``g`` and the
+    :func:`mlp_forward` values ``hs``; returns the input's adjoint."""
+    for i in range(len(layers) - 1, -1, -1):
+        (w, b), act, y = layers[i], acts[i], hs[i + 1]
+        if act == "tanh":
+            g = g * (1.0 - y**2)
+        elif act == "softmax":
+            g = y * (g - (g * y).sum(axis=-1, keepdims=True))
+        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(w, np.outer(hs[i], g) if hs[i].ndim == 1 else hs[i].T @ g)
+        g = g @ w.data.T
+    return g
 
 
 def tanh(a: Value) -> Value:

@@ -51,13 +51,15 @@ class Grounder:
     symbol alphabet at the end.
     """
 
+    acts = ("tanh", None, "softmax")
+
     def __init__(self, rng, n_in: int, n_symbols: int, hidden: int = 64):
         self.layers = [linear(rng, n_in, hidden), linear(rng, hidden, hidden),
                        linear(rng, hidden, n_symbols)]
         self.hidden, self.n_symbols = hidden, n_symbols
 
     def __call__(self, x):
-        return mlp(x, self.layers, ("tanh", None, "softmax"))
+        return mlp(x, self.layers, self.acts)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Most probable symbol index per input row."""

@@ -16,7 +16,11 @@ them toward a discrete machine.
 Training uses reward classes as the only supervision: the cross-entropy
 between predicted reward probabilities and observed reward-class indices
 (semi-supervised symbol grounding when only the grounder is trained, pure
-learning when the machine tensors are trained too).
+learning when the machine tensors are trained too).  Pure learning and
+evaluation record a diffkit graph per length group; the grounder refit
+against a frozen machine runs the same expressions on plain arrays, through
+scratch that each length group keeps for the whole refit, and gives the
+graph's bits.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from . import diffkit as dk
 from .automata import MooreMachine, run_string
 from .diffkit import Adam, Value
-from .errors import InputError
+from .errors import InputError, NumericsError
 from .networks import OneHotGrounder
 
 TAU_FLOOR = 0.05
@@ -163,13 +167,23 @@ def forward_batch(params: ProbMachineParams, grounder, xs, cells=None) -> ProbTr
 
 
 class MachineStateTracker:
-    """Incremental, graph-free state-probability updates over a frozen machine."""
+    """Incremental, graph-free state-probability updates over a frozen machine.
+
+    ``rows`` keeps the grounder's probability row per observation (keyed by
+    its bytes), so each distinct observation runs the grounder once.  The
+    rows are only valid for the grounder's current weights: whoever refits
+    the grounder clears them, as the nrm agent does after each refit.  With
+    a refit every ``GROUNDER_PERIOD`` episodes the memo holds at most
+    ``GROUNDER_PERIOD * t_max`` rows, ``t_max`` being the episode step limit
+    (and never more than the grid's cells).
+    """
 
     def __init__(self, params: ProbMachineParams, grounder):
         if not params.frozen:
             raise InputError("MachineStateTracker expects a frozen (knowledge-initialized) machine")
         self.params = params
         self.grounder = grounder
+        self.rows: dict[bytes, np.ndarray] = {}
         self.q = params.q0.copy()
 
     def reset(self) -> np.ndarray:
@@ -177,7 +191,11 @@ class MachineStateTracker:
         return self.q.copy()
 
     def step(self, state_vec: np.ndarray) -> np.ndarray:
-        probs = self.grounder(np.asarray(state_vec, float)[np.newaxis, :])[0]
+        x = np.asarray(state_vec, float)
+        key = x.tobytes()
+        probs = self.rows.get(key)
+        if probs is None:
+            probs = self.rows[key] = self.grounder(x[np.newaxis, :])[0]
         self.q = np.einsum("i,q,iqo->o", probs, self.q, self.params.mt.data)
         return self.q.copy()
 
@@ -232,27 +250,104 @@ def dataset_loss(params: ProbMachineParams, grounder, dataset) -> float:
     return _epoch(params, grounder, groups, range(len(groups)))
 
 
+class _GroupFit:
+    """One length group's refit step on plain arrays, for a frozen machine.
+
+    The step is :func:`_epoch`'s graph for the group -- the grounder's
+    :func:`~rmkit.diffkit.mlp` on the distinct rows, ``gather_rows``,
+    ``pmm_scan`` and ``reward_nll``, then their backward and one Adam step --
+    with the same expressions in the same order, so it gives the same bits.
+    What does not change between epochs is built once and kept for the
+    whole refit: the target index, the ``q0`` rows, the per-step views, and
+    the scratch that ``A(t)``, the scan states, the carried adjoint, dL/dA
+    and dL/dp are written into.
+    """
+
+    def __init__(self, params: ProbMachineParams, ys, cells):
+        mt, self.mr = params.machine_tensors()
+        (b, t_len), (n_p, n_q, _), n_r = ys.shape, mt.shape, self.mr.shape[1]
+        self.rows, self.inverse = cells
+        self.size = ys.size
+        self.m_flat = mt.reshape(n_p, n_q * n_q)
+        self.idx, self.n = dk._target_index(ys, (b, t_len, n_r))
+        # Each adjoint overwrites a forward value that the step has finished reading.
+        self.p = np.empty((b * t_len, n_p))  # p(t), then dL/dp(t)
+        self.a = np.empty((b * t_len, n_q * n_q))  # A(t) = sum_i p(t)[i] * M[i], then dL/dA(t)
+        self.q = np.empty((b * t_len, n_q))  # q(t), then dL/dq(t)
+        self.pred = np.empty((b * t_len, n_r))
+        qs = np.empty((t_len + 1, b, 1, n_q))  # qs[t] = q(t-1), as in pmm_scan
+        qs[0, :, 0] = np.broadcast_to(params.q0, (b, n_q))
+        carried = np.empty((t_len, b, n_q, 1))  # carried[t] = dL/dq(t), as in pmm_scan
+        a = self.a4 = self.a.reshape(b, t_len, n_q, n_q)
+        q = self.q3 = self.q.reshape(b, t_len, n_q)
+        self.pred3 = self.pred.reshape(b, t_len, n_r)
+        self.q_out = qs[1:, :, 0].swapaxes(0, 1)
+        self.q_prev = qs[:-1, :, 0].swapaxes(0, 1)[..., :, None]
+        self.carried_last, self.g_last = carried[-1, :, :, 0], q[:, -1]
+        self.g_all = carried[..., 0].swapaxes(0, 1)[..., None, :]
+        self.scan = [(qs[t], a[:, t], qs[t + 1]) for t in range(t_len)]
+        self.scan_back = [(a[:, t], carried[t], carried[t - 1], carried[t - 1, :, :, 0],
+                           q[:, t - 1]) for t in range(t_len - 1, 0, -1)]
+
+    def step(self, grounder, optimizer: Adam) -> float:
+        """One zero_grad/backward/step on the group; the group's mean loss."""
+        hs = dk.mlp_forward(self.rows, grounder.layers, grounder.acts)
+        np.take(hs[-1], self.inverse, axis=0, out=self.p)
+        np.matmul(self.p, self.m_flat, out=self.a)
+        for q, a_t, q_next in self.scan:
+            np.matmul(q, a_t, out=q_next)
+        np.copyto(self.q3, self.q_out)
+        np.matmul(self.q, self.mr, out=self.pred)
+        loss, g = dk._nll(self.pred3, self.idx, self.n)
+        if not np.isfinite(loss):
+            raise NumericsError("reward_nll produced a non-finite loss")
+        g /= self.n
+        np.matmul(g.reshape(self.pred.shape), self.mr.T, out=self.q)
+        self.carried_last[...] = self.g_last
+        for a_t, c_t, c_prev, c_prev_col, g_t in self.scan_back:
+            np.matmul(a_t, c_t, out=c_prev)
+            c_prev_col += g_t
+        np.multiply(self.q_prev, self.g_all, out=self.a4)
+        np.matmul(self.a, self.m_flat.T, out=self.p)
+        u = len(self.rows)
+        g_rows = np.stack([np.bincount(self.inverse, col, u) for col in self.p.T], axis=1)
+        optimizer.zero_grad()
+        dk.mlp_backward(g_rows, hs, grounder.layers, grounder.acts)
+        optimizer.step()
+        return float(loss)
+
+
 def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 100,
                    optimizer: Adam | None = None, rng: np.random.Generator | None = None) -> object:
     """Semi-supervised symbol grounding: fit the grounder against a frozen machine.
 
     Minimizes the mean reward-class cross-entropy over the dataset; stops
     early once ``PATIENCE`` consecutive epochs improve the epoch loss by
-    less than ``MIN_IMPROVEMENT``.  The machine tensors never change.
+    less than ``MIN_IMPROVEMENT``.  The machine tensors never change.  Each
+    length group steps through a :class:`_GroupFit`, which records no graph
+    and gives the bits of :func:`_epoch` with the same optimizer.
     """
     if not params.frozen:
         raise InputError("train_grounder expects a frozen (knowledge-initialized) machine")
     if not dataset:
         return grounder
+    if any(len(tr.reward_classes) == 0 for tr in dataset):
+        raise InputError("grounding needs nonempty traces")
+    if grounder.layers[-1][0].data.shape[-1] != len(params.alphabet):
+        raise InputError("grounder output width must match the alphabet")
     if optimizer is None:
         optimizer = Adam(grounder.params())
     if rng is None:
         rng = np.random.default_rng(0)
-    groups = _grouped_by_length(dataset)
+    fits = [_GroupFit(params, ys, cells) for _, ys, cells in _grouped_by_length(dataset)]
+    steps = sum(fit.size for fit in fits)
     best = np.inf
     stale = 0
     for _ in range(epochs):
-        epoch_loss = _epoch(params, grounder, groups, rng.permutation(len(groups)), optimizer)
+        total = 0.0
+        for gi in rng.permutation(len(fits)):
+            total += fits[gi].step(grounder, optimizer) * fits[gi].size
+        epoch_loss = total / steps
         if best - epoch_loss < MIN_IMPROVEMENT:
             stale += 1
             if stale >= PATIENCE:

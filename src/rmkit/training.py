@@ -245,16 +245,19 @@ class _LSTMFeatures:
         self.states, self.obs, self.head = self.states[-1:], [], 1
 
 
-def _grounder_refit(grid: GridConfig, grounder, params, rng):
-    """The nrm agent's end-of-episode hook: buffer the episode, refit periodically."""
+def _grounder_refit(grid: GridConfig, tracker: MachineStateTracker, rng):
+    """The nrm agent's end-of-episode hook: buffer the episode, refit the
+    tracker's grounder periodically and drop the rows the tracker kept."""
     buffer = GrounderBuffer()
-    optimizer = Adam(grounder.params())
+    optimizer = Adam(tracker.grounder.params())
 
     def end_episode(episode: int, steps, total: float):
         cells, classes, rewards = zip(*steps)
         buffer.add(episode, EpisodeTrace.from_steps(grid, cells, classes, rewards, total))
         if (episode + 1) % GROUNDER_PERIOD == 0:
-            train_grounder(params, grounder, buffer.dataset(), optimizer=optimizer, rng=rng)
+            train_grounder(tracker.params, tracker.grounder, buffer.dataset(), optimizer=optimizer,
+                           rng=rng)
+            tracker.rows.clear()
 
     return end_episode
 
@@ -319,11 +322,10 @@ def run_single(task, agent_kind: str, config: TrainConfig, grid_config: GridConf
         return _agent_run(env, _MachineFeatures(env), config, rng_weights, rng_actions)
     if agent_kind == "rnn":
         return _agent_run(env, _LSTMFeatures(rng_weights), config, rng_weights, rng_actions)
-    grounder = Grounder(rng_weights, 2, len(machine.alphabet))
-    params = params_from_machine(machine)
-    refit = _grounder_refit(grid_config, grounder, params, rng_grounder)
-    return _agent_run(env, _MachineFeatures(env, MachineStateTracker(params, grounder)), config,
-                      rng_weights, rng_actions, end_episode=refit)
+    tracker = MachineStateTracker(params_from_machine(machine),
+                                  Grounder(rng_weights, 2, len(machine.alphabet)))
+    return _agent_run(env, _MachineFeatures(env, tracker), config, rng_weights, rng_actions,
+                      end_episode=_grounder_refit(grid_config, tracker, rng_grounder))
 
 
 # ---------------------------------------------------------------------------

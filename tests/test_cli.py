@@ -265,6 +265,8 @@ class TestBadArguments:
         ("ground --machine {mm} --traces {tmp}/neg.csv --out {tmp}/o", 2,
          "episode 1, t 0: missing row"),
         (_TRAIN + " --seeds 0,0", 2, "none negative or repeated"),
+        (_TRAIN + " --jobs 0", 1, "--jobs must be at least 1, got 0"),
+        (_TRAIN + " --jobs=-1", 1, "--jobs must be at least 1, got -1"),
         (_GROUND + " --out {tmp}/missing/g.npz", 2, "cannot write {tmp}/missing/g.npz"),
         ("urs --machine {mm} --out {tmp}/missing/r.csv", 2, "cannot write {tmp}/missing/r.csv"),
         ("compile --formula F(a) --machine {tmp}/missing/m.mm", 2,

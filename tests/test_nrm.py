@@ -11,6 +11,7 @@ from helpers import (
     sg_loss,
     visit_a_machine,
 )
+from rmkit import nrm
 from rmkit.automata import equivalent, minimize, run_string, shape_rewards
 from rmkit.diffkit import Adam, Value, cross_entropy
 from rmkit.errors import InputError
@@ -223,6 +224,20 @@ class TestTrainGrounder:
         with pytest.raises(InputError):
             train_grounder(params, OneHotGrounder(2), [])
 
+    def test_bad_inputs_rejected(self):
+        from rmkit.nrm import StringTrace
+
+        m = shape_rewards(visit_a_machine(("a", "b")))
+        params = params_from_machine(m)
+        empty = StringTrace(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        with pytest.raises(InputError, match="nonempty traces"):
+            train_grounder(params, Grounder(np.random.default_rng(0), 2, 2), [empty])
+        dataset = traces_from_strings(m, [(0, 1)])
+        with pytest.raises(InputError, match="output width"):
+            train_grounder(params, Grounder(np.random.default_rng(0), 2, 3), dataset)
+        with pytest.raises(InputError, match="mlp wants x"):
+            train_grounder(params, Grounder(np.random.default_rng(0), 3, 2), dataset)
+
     def test_tracker_rejects_learnable_machine(self):
         params = random_params(np.random.default_rng(0), ("a", "b"), (0, 1), 2)
         with pytest.raises(InputError):
@@ -250,6 +265,109 @@ class TestTrainGrounder:
         assert losses[-1] < losses[0]
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-9)
         assert drops >= 8  # allow a couple of noisy upticks
+
+
+class TestGroupFit:
+    """train_grounder's graph-free group steps against the graph reference, ``_epoch``."""
+
+    @staticmethod
+    def _dataset(machine, seed):
+        """Strings over the machine's alphabet, one-hot: a T=1 group, a B=1 group at T=9,
+        a 60x12 group and a few random lengths."""
+        rng = np.random.default_rng(seed)
+        k = len(machine.alphabet)
+        lengths = [1, 9] + [12] * 60 + [int(n) for n in rng.integers(2, 8, size=30)]
+        strings = [tuple(int(s) for s in rng.integers(0, k, size=n)) for n in lengths]
+        return traces_from_strings(machine, strings)
+
+    @staticmethod
+    def _reference(params, grounder, dataset, epochs, rng):
+        """train_grounder's loop over the graph path: the epoch losses, in order."""
+        optimizer = Adam(grounder.params(), lr=1e-2)
+        groups = nrm._grouped_by_length(dataset)
+        losses, best, stale = [], np.inf, 0
+        for _ in range(epochs):
+            losses.append(nrm._epoch(params, grounder, groups, rng.permutation(len(groups)),
+                                     optimizer))
+            if best - losses[-1] < nrm.MIN_IMPROVEMENT:
+                stale += 1
+                if stale >= nrm.PATIENCE:
+                    break
+            else:
+                stale = 0
+            best = min(best, losses[-1])
+        return losses
+
+    def _fit(self, monkeypatch, machine, dataset, epochs, seed, poison=False):
+        """Reference and train_grounder from one grounder init; their epoch losses and grounders."""
+        params = params_from_machine(machine)
+        k = len(machine.alphabet)
+        ref_grounder, grounder = (Grounder(np.random.default_rng(5), k, k, hidden=16)
+                                  for _ in range(2))
+        ref_losses = self._reference(params, ref_grounder, dataset, epochs,
+                                     np.random.default_rng(seed))
+        steps, step = [], nrm._GroupFit.step
+
+        def recording_step(fit, grounder, optimizer):
+            if poison:
+                for arr in _scratch(fit):
+                    arr.fill(np.nan)
+            steps.append((step(fit, grounder, optimizer), fit.size))
+            return steps[-1][0]
+
+        monkeypatch.setattr(nrm._GroupFit, "step", recording_step)
+        train_grounder(params, grounder, dataset, epochs=epochs,
+                       optimizer=Adam(grounder.params(), lr=1e-2), rng=np.random.default_rng(seed))
+        n_groups = len(nrm._grouped_by_length(dataset))
+        losses = []
+        for e in range(0, len(steps), n_groups):
+            total = 0.0
+            for loss, size in steps[e:e + n_groups]:
+                total += loss * size
+            losses.append(total / sum(len(tr) for tr in dataset))
+        assert len(steps) == len(losses) * n_groups
+        return ref_losses, losses, ref_grounder, grounder
+
+    @pytest.mark.parametrize("task", [1, 2, 4])
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_matches_graph_reference_bitwise(self, task_machines, monkeypatch, task, poison):
+        """Grounder params, epoch losses and the epoch count; with ``poison`` every scratch
+        buffer is NaN before each step, so no value may be read that the step did not write."""
+        machine = task_machines[task]
+        dataset = self._dataset(machine, task)
+        shapes = [ys.shape for _, ys, _ in nrm._grouped_by_length(dataset)]
+        assert (1, 1) in shapes and (1, 9) in shapes and (60, 12) in shapes
+        ref_losses, losses, ref_grounder, grounder = self._fit(monkeypatch, machine, dataset,
+                                                               30, task, poison)
+        assert np.array_equal(losses, ref_losses)
+        for p, ref in zip(grounder.params(), ref_grounder.params()):
+            assert np.array_equal(p.data, ref.data)
+
+    def test_stops_at_the_reference_epoch(self, task_machines, monkeypatch):
+        machine = task_machines[1]
+        ref_losses, losses, ref_grounder, grounder = self._fit(
+            monkeypatch, machine, self._dataset(machine, 0), 300, 0)
+        assert len(ref_losses) < 300  # stopped early
+        assert np.array_equal(losses, ref_losses)
+        for p, ref in zip(grounder.params(), ref_grounder.params()):
+            assert np.array_equal(p.data, ref.data)
+
+    def test_groups_share_no_buffer(self, task_machines):
+        machine = task_machines[2]
+        params = params_from_machine(machine)
+        fits = [nrm._GroupFit(params, ys, cells)
+                for _, ys, cells in nrm._grouped_by_length(self._dataset(machine, 2))]
+        for f, g in itertools.combinations(fits, 2):
+            for u in _scratch(f):
+                assert not any(np.shares_memory(u, v) for v in _scratch(g))
+
+
+def _scratch(fit) -> list:
+    """A group's scratch buffers: everything its step writes before reading."""
+    arrays = [fit.p, fit.a, fit.q, fit.pred, fit.carried_last]
+    arrays += [q_next for _, _, q_next in fit.scan]
+    arrays += [c for _, c_t, c_prev, _, _ in fit.scan_back for c in (c_t, c_prev)]
+    return arrays
 
 
 class TestExtractMachine:

@@ -80,6 +80,50 @@ class TestAugmentedState:
             assert np.array_equal(feat, env.machine_state_onehot)
 
 
+class TestTrackerMemo:
+    def test_one_grounder_call_per_observation_between_refits(self, task_machines, monkeypatch):
+        """Random walks through two refit periods: the tracker runs the grounder once per
+        distinct observation, and after each refit it steps as a fresh tracker does."""
+        from rmkit import networks, training
+
+        m = task_machines[1]
+        env = GridWorld(DEFAULT_CONFIG, m)
+        grounder = networks.Grounder(np.random.default_rng(4), 2, len(m.alphabet))
+        tracker = MachineStateTracker(params_from_machine(m), grounder)
+        refit = training._grounder_refit(DEFAULT_CONFIG, tracker, np.random.default_rng(5))
+        calls, call = [], networks.Grounder.__call__
+        monkeypatch.setattr(networks.Grounder, "__call__",
+                            lambda self, x: calls.append(1) or call(self, x))
+        rng = np.random.default_rng(6)
+        seen, walks = set(), []
+        for episode in range(2 * training.GROUNDER_PERIOD):
+            tracker.reset()
+            env.reset()
+            steps, obs_seq = [], []
+            while not env.done:
+                obs, reward, cls, _ = env.step(int(rng.integers(0, 4)))
+                tracker.step(obs)
+                seen.add(obs.tobytes())
+                steps.append((env.cell, cls, reward))
+                obs_seq.append(obs)
+            walks.append(obs_seq)
+            if (episode + 1) % training.GROUNDER_PERIOD == 0:
+                assert len(calls) == len(seen) == len(tracker.rows)
+                calls.clear()
+                seen.clear()
+            refit(episode, steps, sum(r for _, _, r in steps))
+            if (episode + 1) % training.GROUNDER_PERIOD == 0:
+                assert not tracker.rows
+                fresh = MachineStateTracker(tracker.params, grounder)
+                for obs_seq in walks[-3:]:
+                    tracker.reset()
+                    fresh.reset()
+                    for obs in obs_seq:
+                        assert np.array_equal(tracker.step(obs), fresh.step(obs))
+                tracker.rows.clear()
+                calls.clear()
+
+
 class TestA2cPieces:
     def test_n_step_returns(self):
         r = n_step_returns([1.0, 2.0, 3.0], bootstrap=10.0, gamma=0.5)
