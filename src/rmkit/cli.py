@@ -184,7 +184,7 @@ def cmd_ground(args) -> int:
     params = nrm.params_from_machine(machine)
     rng = np.random.default_rng(args.seed)
     grounder = Grounder(rng, 2, len(machine.alphabet))
-    nrm.train_grounder(params, grounder, traces, epochs=args.epochs, rng=rng)
+    epochs = nrm.train_grounder(params, grounder, traces, epochs=args.epochs, rng=rng)
     named = {f"p{i}": p for i, p in enumerate(grounder.params())}
     with _file_errors(args.out, "write"):
         save_params(args.out, named, meta={
@@ -193,7 +193,7 @@ def cmd_ground(args) -> int:
             "symbols": len(machine.alphabet),
             "seed": args.seed,
         })
-    print(f"trained on {len(traces)} episodes; final loss "
+    print(f"trained on {len(traces)} episodes in {epochs} epochs; final loss "
           f"{nrm.dataset_loss(params, grounder, traces):.4f}")
     print(f"checkpoint -> {args.out}")
     return EXIT_OK

@@ -11,7 +11,9 @@ the rnn agent steps its LSTM with :func:`lstm_cell` and records each update
 window from the kept activations as one :func:`lstm_scan` node.  A fused
 node runs the numpy expressions of the op chain it replaces, in order, so
 it gives the same bits.  :func:`mlp`'s two halves, :func:`mlp_forward` and
-:func:`mlp_backward`, also run without a node, in the grounder refit.
+:func:`mlp_backward`, also run without a node, as do :func:`tau_softmax` and
+its adjoint :func:`softmax_grad`, in nrm's grounding loss, which runs its own
+backward.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -292,7 +294,7 @@ def mlp_backward(g: np.ndarray, hs, layers, acts) -> np.ndarray:
         if act == "tanh":
             g = g * (1.0 - y**2)
         elif act == "softmax":
-            g = y * (g - (g * y).sum(axis=-1, keepdims=True))
+            g = softmax_grad(g, y)
         _accum(b, _unbroadcast(g, b.data.shape))
         _accum(w, np.outer(hs[i], g) if hs[i].ndim == 1 else hs[i].T @ g)
         g = g @ w.data.T
@@ -344,12 +346,15 @@ def softmax(a, axis=-1):
     out = Value(s, (a,))
 
     def backward():
-        g = out.grad
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(a, s * (g - dot))
+        _accum(a, softmax_grad(out.grad, s, axis))
 
     out._backward = backward
     return out
+
+
+def softmax_grad(g: np.ndarray, s: np.ndarray, axis=-1) -> np.ndarray:
+    """The adjoint of a softmax's input from its output ``s`` and output adjoint ``g``."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
 
 
 def log_softmax(a: Value, axis=-1) -> Value:
@@ -367,11 +372,15 @@ def log_softmax(a: Value, axis=-1) -> Value:
     return out
 
 
-def tau_softmax(a: Value, tau: float, axis=-1) -> Value:
-    """Temperature softmax: softmax(a / tau); approaches one-hot as tau -> 0."""
+def tau_softmax(a, tau: float, axis=-1):
+    """Temperature softmax: softmax(a / tau); approaches one-hot as tau -> 0.
+
+    A plain array in gives a plain array out; its input's adjoint is
+    ``softmax_grad(g, s, axis) * (1.0 / tau)``, the two nodes' backward in turn.
+    """
     if not 0.0 < tau <= 1.0:
         raise InputError(f"temperature must lie in (0, 1], got {tau}")
-    return softmax(mul(a, 1.0 / tau), axis=axis)
+    return softmax(mul(a, 1.0 / tau) if isinstance(a, Value) else a * (1.0 / tau), axis=axis)
 
 
 def vsum(a: Value, axis=None) -> Value:
@@ -443,34 +452,6 @@ def cross_entropy(pred: Value, targets, from_logits: bool = False) -> Value:
         out._backward = backward_probs
     if not np.isfinite(out.data):
         raise NumericsError("cross_entropy produced a non-finite loss")
-    return out
-
-
-def reward_nll(states: Value, mr, targets) -> Value:
-    """``cross_entropy(states @ mr, targets)`` as one node: the grounding loss.
-
-    ``states`` is :func:`pmm_scan`'s ``[..., Q]`` output and ``mr`` the ``[Q, R]``
-    reward matrix, an array (frozen machine) or a Value (machine being
-    learned).  It repeats the chain ``reshape``, ``matmul``, ``reshape``,
-    :func:`cross_entropy`.
-    """
-    mr_val = mr if isinstance(mr, Value) else None
-    mr_data = mr_val.data if mr_val is not None else np.asarray(mr, dtype=np.float64)
-    q = states.data.reshape(-1, states.data.shape[-1])
-    pred = (q @ mr_data).reshape(states.data.shape[:-1] + mr_data.shape[-1:])
-    idx, n = _target_index(targets, pred.shape)
-    loss, g = _nll(pred, idx, n)
-    if not np.isfinite(loss):
-        raise NumericsError("reward_nll produced a non-finite loss")
-    out = Value(loss, (states,) if mr_val is None else (states, mr_val))
-
-    def backward():
-        g_r = (out.grad * g / n).reshape(q.shape[0], -1)
-        _accum(states, (g_r @ mr_data.T).reshape(states.data.shape))
-        if mr_val is not None:
-            _accum(mr_val, q.T @ g_r)
-
-    out._backward = backward
     return out
 
 
@@ -551,20 +532,6 @@ def pmm_scan(q0, p, m) -> Value:
             _accum(m_val, (p_flat.T @ g_a).reshape(m_data.shape))
         if q0_val is not None:
             _accum(q0_val, (a[:, 0] @ carried[0])[..., 0])
-
-    out._backward = backward
-    return out
-
-
-def gather_rows(a: Value, index) -> Value:
-    """Rows ``a[index]`` of a ``[U, k]`` Value; backward sums each source row's grads."""
-    a = _wrap(a)
-    index = np.asarray(index, dtype=np.int64)
-    out = Value(a.data[index], (a,))
-
-    def backward():
-        rows = a.data.shape[0]
-        _accum(a, np.stack([np.bincount(index, col, rows) for col in out.grad.T], axis=1))
 
     out._backward = backward
     return out

@@ -363,6 +363,9 @@ def traces_from_csv(text: str, config: GridConfig,
             raise InputError(f"episode {ep}, t {t}: reward_class {cls} out of range{limit}")
         if not math.isfinite(reward):
             raise MachineFormatError(f"episode {ep}, t {t}: scalar_reward {parts[5]!r} is not finite")
+        if not (0 <= x < config.width and 0 <= y < config.height):
+            raise InputError(f"episode {ep}, t {t}: cell ({x}, {y}) is outside the "
+                             f"{config.width}x{config.height} grid")
         rows = episodes.setdefault(ep, {})
         if t in rows:
             raise MachineFormatError(f"episode {ep}, t {t}: duplicate row")

@@ -15,12 +15,12 @@ them toward a discrete machine.
 
 Training uses reward classes as the only supervision: the cross-entropy
 between predicted reward probabilities and observed reward-class indices
-(semi-supervised symbol grounding when only the grounder is trained, pure
-learning when the machine tensors are trained too).  Pure learning and
-evaluation record a diffkit graph per length group; the grounder refit
-against a frozen machine runs the same expressions on plain arrays, through
-scratch that each length group keeps for the whole refit, and gives the
-graph's bits.
+(semi-supervised symbol grounding when the grounder is trained against a
+frozen machine, pure learning when the machine tensors are trained).  One
+implementation of that loss, :class:`_GroupFit`, serves the grounder refit,
+pure learning and evaluation.  It runs each length group on plain arrays,
+through scratch kept for the whole fit, with the expressions of the diffkit
+graph that :func:`forward` records, and so gives that graph's bits.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ TAU_FLOOR = 0.05
 # train_grounder stops once PATIENCE epochs in a row improve the loss by less than this
 MIN_IMPROVEMENT = 1e-5
 PATIENCE = 5
+PURE_LEARNING_LR = 5e-3  # Adam's step size for the machine logits
 
 
 def default_tau_schedule(epoch: int) -> float:
@@ -140,24 +141,14 @@ def forward(params: ProbMachineParams, grounder, x_s) -> ProbTraces:
                       traces.mr)
 
 
-def forward_batch(params: ProbMachineParams, grounder, xs, cells=None) -> ProbTraces:
-    """Batched forward over equal-length sequences ``[B, T, d]``.
-
-    ``cells``, the ``(rows, inverse)`` of :func:`distinct_rows` over ``xs``'s
-    ``[B*T, d]`` rows, runs the grounder once per distinct row and gathers;
-    the forward values are the same, and each row's grads are summed first.
-    The training loss reads ``states`` and ``mr``; ``rewards`` is built if read.
-    """
+def forward_batch(params: ProbMachineParams, grounder, xs) -> ProbTraces:
+    """Batched forward over equal-length sequences ``[B, T, d]`` as a diffkit graph."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[1] == 0:
         raise InputError("xs must be [B, T, d] with T >= 1")
     b, t_len, d = xs.shape
     mt_eff, mr_eff = params.machine_tensors()
-    if cells is None:
-        flat = grounder(Value(xs.reshape(b * t_len, d)))
-    else:
-        rows, inverse = cells
-        flat = dk.gather_rows(grounder(Value(rows)), inverse)
+    flat = grounder(Value(xs.reshape(b * t_len, d)))
     k = flat.data.shape[-1]
     if k != len(params.alphabet):
         raise InputError("grounder output width must match the alphabet")
@@ -204,72 +195,52 @@ class MachineStateTracker:
 # losses and training
 
 
-def distinct_rows(xs: np.ndarray):
-    """The distinct ``[d]`` rows of ``xs`` ``[B, T, d]`` and each row's index into them."""
-    rows, inverse = np.unique(xs.reshape(-1, xs.shape[-1]), axis=0, return_inverse=True)
-    return rows, inverse.reshape(-1)
-
-
 def _grouped_by_length(dataset):
-    """``(xs, ys, cells)`` per trace length: states, reward classes, distinct rows."""
+    """``(xs, ys)`` per trace length: the stacked states and reward classes."""
     groups: dict[int, list] = {}
     for trace in dataset:
+        if len(trace.reward_classes) == 0:
+            raise InputError("the grounding loss needs nonempty traces")
         groups.setdefault(len(trace.reward_classes), []).append(trace)
-    out = []
-    for t_len in sorted(groups):
-        traces = groups[t_len]
-        xs = np.stack([np.asarray(tr.states, dtype=np.float64) for tr in traces])
-        ys = np.stack([np.asarray(tr.reward_classes, dtype=np.int64) for tr in traces])
-        out.append((xs, ys, distinct_rows(xs)))
-    return out
-
-
-def _epoch(params: ProbMachineParams, grounder, groups, order, optimizer: Adam | None = None) -> float:
-    """One pass over the length ``groups`` in ``order``; the mean per-step loss.
-
-    With an ``optimizer`` each group is one zero_grad/backward/step; without
-    one the pass only evaluates.
-    """
-    total, steps = 0.0, 0
-    for gi in order:
-        xs, ys, cells = groups[gi]
-        traces = forward_batch(params, grounder, xs, cells)
-        loss = dk.reward_nll(traces.states, traces.mr, ys)
-        if optimizer is not None:
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-        total += loss.item() * ys.size
-        steps += ys.size
-    return total / max(steps, 1)
+    return [(np.stack([np.asarray(tr.states, dtype=np.float64) for tr in groups[t_len]]),
+             np.stack([np.asarray(tr.reward_classes, dtype=np.int64) for tr in groups[t_len]]))
+            for t_len in sorted(groups)]
 
 
 def dataset_loss(params: ProbMachineParams, grounder, dataset) -> float:
     """Mean per-step loss of a trace dataset (evaluation only)."""
     groups = _grouped_by_length(dataset)
-    return _epoch(params, grounder, groups, range(len(groups)))
+    total = sum(_GroupFit(params, xs, ys).loss(grounder) * ys.size for xs, ys in groups)
+    return total / max(sum(ys.size for _, ys in groups), 1)
 
 
 class _GroupFit:
-    """One length group's refit step on plain arrays, for a frozen machine.
+    """The grounding loss of one length group ``xs`` ``[B, T, d]``, ``ys`` ``[B, T]``.
 
-    The step is :func:`_epoch`'s graph for the group -- the grounder's
-    :func:`~rmkit.diffkit.mlp` on the distinct rows, ``gather_rows``,
-    ``pmm_scan`` and ``reward_nll``, then their backward and one Adam step --
-    with the same expressions in the same order, so it gives the same bits.
-    What does not change between epochs is built once and kept for the
-    whole refit: the target index, the ``q0`` rows, the per-step views, and
-    the scratch that ``A(t)``, the scan states, the carried adjoint, dL/dA
-    and dL/dp are written into.
+    :meth:`loss` is the forward pass: the grounder on the distinct rows of
+    ``xs``, gathered back per step, the machine recurrence, ``q @ Mr`` and
+    the floored cross-entropy of ``ys``.  :meth:`step` adds the backward and
+    one Adam step.  Against a frozen machine the grounder learns: the
+    per-step dL/dp is summed onto the distinct rows and runs back through
+    :func:`~rmkit.diffkit.mlp_backward`.  Against a learnable machine the
+    symbol rows stay fixed and dL/dMt, dL/dMr run back through
+    ``tau_softmax`` into the logits.  The expressions and their order are
+    those of the diffkit graph for the same loss, so the two give the same
+    bits.  What does not change between steps is built once: the distinct
+    rows, the target index, the ``q0`` rows, a frozen machine's arrays, the
+    per-step views, and the scratch that ``A(t)``, the scan states, the
+    carried adjoint, dL/dA and dL/dp are written into.
     """
 
-    def __init__(self, params: ProbMachineParams, ys, cells):
-        mt, self.mr = params.machine_tensors()
-        (b, t_len), (n_p, n_q, _), n_r = ys.shape, mt.shape, self.mr.shape[1]
-        self.rows, self.inverse = cells
+    def __init__(self, params: ProbMachineParams, xs, ys):
+        self.params = params
+        (b, t_len, d), (n_p, n_q, _), n_r = xs.shape, params.mt.shape, params.mr.shape[1]
+        self.rows, inverse = np.unique(xs.reshape(-1, d), axis=0, return_inverse=True)
+        self.inverse = inverse.reshape(-1)
         self.size = ys.size
-        self.m_flat = mt.reshape(n_p, n_q * n_q)
         self.idx, self.n = dk._target_index(ys, (b, t_len, n_r))
+        if params.frozen:
+            self.m_flat, self.mr = params.mt.data.reshape(n_p, n_q * n_q), params.mr.data
         # Each adjoint overwrites a forward value that the step has finished reading.
         self.p = np.empty((b * t_len, n_p))  # p(t), then dL/dp(t)
         self.a = np.empty((b * t_len, n_q * n_q))  # A(t) = sum_i p(t)[i] * M[i], then dL/dA(t)
@@ -289,10 +260,20 @@ class _GroupFit:
         self.scan_back = [(a[:, t], carried[t], carried[t - 1], carried[t - 1, :, :, 0],
                            q[:, t - 1]) for t in range(t_len - 1, 0, -1)]
 
-    def step(self, grounder, optimizer: Adam) -> float:
-        """One zero_grad/backward/step on the group; the group's mean loss."""
-        hs = dk.mlp_forward(self.rows, grounder.layers, grounder.acts)
-        np.take(hs[-1], self.inverse, axis=0, out=self.p)
+    def loss(self, grounder) -> float:
+        """The group's mean loss under ``grounder``; records and changes nothing."""
+        return self._forward(grounder(self.rows))[0]
+
+    def _forward(self, symbols: np.ndarray):
+        """The mean loss from the distinct rows' symbol probabilities, and n times its
+        grad over the reward probabilities."""
+        if symbols.shape[-1] != self.p.shape[1]:
+            raise InputError("grounder output width must match the alphabet")
+        if not self.params.frozen:
+            mt, mr, tau = self.params.mt.data, self.params.mr.data, self.params.tau
+            self.mt_eff, self.mr = dk.tau_softmax(mt, tau), dk.tau_softmax(mr, tau)
+            self.m_flat = self.mt_eff.reshape(self.p.shape[1], -1)
+        np.take(symbols, self.inverse, axis=0, out=self.p)
         np.matmul(self.p, self.m_flat, out=self.a)
         for q, a_t, q_next in self.scan:
             np.matmul(q, a_t, out=q_next)
@@ -300,50 +281,65 @@ class _GroupFit:
         np.matmul(self.q, self.mr, out=self.pred)
         loss, g = dk._nll(self.pred3, self.idx, self.n)
         if not np.isfinite(loss):
-            raise NumericsError("reward_nll produced a non-finite loss")
+            raise NumericsError("the grounding loss is not finite")
+        return float(loss), g
+
+    def step(self, grounder, optimizer: Adam) -> float:
+        """One zero_grad/backward/step on the group; the group's mean loss.
+
+        A frozen machine's step trains ``grounder``'s layers; a learnable
+        machine's step trains its logits and only reads ``grounder``.
+        """
+        frozen = self.params.frozen
+        if frozen:
+            hs = dk.mlp_forward(self.rows, grounder.layers, grounder.acts)
+        loss, g = self._forward(hs[-1] if frozen else grounder(self.rows))
         g /= self.n
-        np.matmul(g.reshape(self.pred.shape), self.mr.T, out=self.q)
+        g = g.reshape(self.pred.shape)
+        if not frozen:
+            g_mr = self.q.T @ g  # dL/dMr, read before dL/dq overwrites q
+        np.matmul(g, self.mr.T, out=self.q)
         self.carried_last[...] = self.g_last
         for a_t, c_t, c_prev, c_prev_col, g_t in self.scan_back:
             np.matmul(a_t, c_t, out=c_prev)
             c_prev_col += g_t
         np.multiply(self.q_prev, self.g_all, out=self.a4)
-        np.matmul(self.a, self.m_flat.T, out=self.p)
-        u = len(self.rows)
-        g_rows = np.stack([np.bincount(self.inverse, col, u) for col in self.p.T], axis=1)
         optimizer.zero_grad()
-        dk.mlp_backward(g_rows, hs, grounder.layers, grounder.acts)
+        if frozen:
+            np.matmul(self.a, self.m_flat.T, out=self.p)
+            u = len(self.rows)
+            g_rows = np.stack([np.bincount(self.inverse, col, u) for col in self.p.T], axis=1)
+            dk.mlp_backward(g_rows, hs, grounder.layers, grounder.acts)
+        else:
+            mt, mr, inv_tau = self.params.mt, self.params.mr, 1.0 / self.params.tau
+            mt.grad += dk.softmax_grad((self.p.T @ self.a).reshape(mt.shape), self.mt_eff) * inv_tau
+            mr.grad += dk.softmax_grad(g_mr, self.mr) * inv_tau
         optimizer.step()
-        return float(loss)
+        return loss
 
 
 def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 100,
-                   optimizer: Adam | None = None, rng: np.random.Generator | None = None) -> object:
+                   optimizer: Adam | None = None, rng: np.random.Generator | None = None) -> int:
     """Semi-supervised symbol grounding: fit the grounder against a frozen machine.
 
-    Minimizes the mean reward-class cross-entropy over the dataset; stops
-    early once ``PATIENCE`` consecutive epochs improve the epoch loss by
-    less than ``MIN_IMPROVEMENT``.  The machine tensors never change.  Each
-    length group steps through a :class:`_GroupFit`, which records no graph
-    and gives the bits of :func:`_epoch` with the same optimizer.
+    Minimizes the mean reward-class cross-entropy over the dataset, one
+    :class:`_GroupFit` step per length group in a random order each epoch;
+    stops early once ``PATIENCE`` consecutive epochs improve the epoch loss
+    by less than ``MIN_IMPROVEMENT``.  The machine tensors never change.
+    Returns the number of epochs run.
     """
     if not params.frozen:
         raise InputError("train_grounder expects a frozen (knowledge-initialized) machine")
     if not dataset:
-        return grounder
-    if any(len(tr.reward_classes) == 0 for tr in dataset):
-        raise InputError("grounding needs nonempty traces")
-    if grounder.layers[-1][0].data.shape[-1] != len(params.alphabet):
-        raise InputError("grounder output width must match the alphabet")
+        return 0
     if optimizer is None:
         optimizer = Adam(grounder.params())
     if rng is None:
         rng = np.random.default_rng(0)
-    fits = [_GroupFit(params, ys, cells) for _, ys, cells in _grouped_by_length(dataset)]
+    fits = [_GroupFit(params, xs, ys) for xs, ys in _grouped_by_length(dataset)]
     steps = sum(fit.size for fit in fits)
-    best = np.inf
-    stale = 0
-    for _ in range(epochs):
+    best, stale, epoch = np.inf, 0, 0
+    for epoch in range(1, epochs + 1):
         total = 0.0
         for gi in rng.permutation(len(fits)):
             total += fits[gi].step(grounder, optimizer) * fits[gi].size
@@ -355,29 +351,30 @@ def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 1
         else:
             stale = 0
         best = min(best, epoch_loss)
-    return grounder
+    return epoch
 
 
-def pure_learning(dataset, n_states: int, alphabet, output_classes, grounder=None,
-                  epochs: int = 200, lr: float = 5e-3, seed: int = 0,
-                  tau_schedule=default_tau_schedule) -> tuple[ProbMachineParams, object]:
-    """Learn machine tensors (and optionally the grounder) from traces alone.
+def pure_learning(dataset, n_states: int, alphabet, output_classes, epochs: int = 200,
+                  seed: int = 0, tau_schedule=default_tau_schedule
+                  ) -> tuple[ProbMachineParams, OneHotGrounder]:
+    """Learn machine tensors from traces of one-hot symbol rows alone.
 
     The temperature anneals per epoch so the softmaxed rows harden toward a
     discrete machine; a too-small state budget shows up as a high held-out
-    loss rather than an exception.
+    loss rather than an exception.  Returns the params and the
+    :class:`OneHotGrounder` that reads the symbol rows, for :func:`dataset_loss`.
     """
-    if not dataset or any(len(tr.reward_classes) == 0 for tr in dataset):
+    if not dataset:
         raise InputError("pure learning needs nonempty traces")
     rng = np.random.default_rng(seed)
     params = random_params(rng, alphabet, output_classes, n_states, tau=tau_schedule(0))
-    if grounder is None:
-        grounder = OneHotGrounder(len(params.alphabet))
-    optimizer = Adam(params.trainable_params() + grounder.params(), lr=lr)
-    groups = _grouped_by_length(dataset)
+    grounder = OneHotGrounder(len(params.alphabet))
+    optimizer = Adam(params.trainable_params(), lr=PURE_LEARNING_LR)
+    fits = [_GroupFit(params, xs, ys) for xs, ys in _grouped_by_length(dataset)]
     for epoch in range(epochs):
         params.tau = tau_schedule(epoch)
-        _epoch(params, grounder, groups, rng.permutation(len(groups)), optimizer)
+        for gi in rng.permutation(len(fits)):
+            fits[gi].step(grounder, optimizer)
     return params, grounder
 
 

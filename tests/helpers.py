@@ -27,7 +27,7 @@ from rmkit.formulas import (
 )
 from rmkit.gridworld import GridConfig
 from rmkit.networks import CKPT_VERSION, OneHotGrounder
-from rmkit.nrm import forward
+from rmkit.nrm import ProbTraces, forward
 from rmkit.training import COEF_ACTOR, COEF_CRITIC, COEF_ENTROPY, TrainConfig
 
 # published shortcut counts for the eight tasks, identity included
@@ -254,6 +254,43 @@ def sg_loss(params, grounder, trace) -> Value:
     and the trace's observed reward-class indices."""
     traces = forward(params, grounder, trace.states)
     return dk.cross_entropy(traces.rewards, np.asarray(trace.reward_classes, dtype=np.int64))
+
+
+def gather_rows(a: Value, index) -> Value:
+    """Rows ``a[index]`` of a ``[U, k]`` Value; backward sums each source row's grads."""
+    out = Value(a.data[index], (a,))
+
+    def backward():
+        rows = a.data.shape[0]
+        _accum(a, np.stack([np.bincount(index, col, rows) for col in out.grad.T], axis=1))
+
+    out._backward = backward
+    return out
+
+
+def graph_epoch(params, grounder, groups, order, optimizer=None) -> float:
+    """The grounding loss on the diffkit graph over the ``(xs, ys)`` length ``groups``
+    in ``order``; the mean per-step loss.  The bit reference for ``nrm._GroupFit``.
+
+    Each group runs the grounder once per distinct row and gathers; with an
+    ``optimizer`` it is then one zero_grad/backward/step.
+    """
+    total, steps = 0.0, 0
+    for gi in order:
+        xs, ys = groups[gi]
+        b, t_len, d = xs.shape
+        rows, inverse = np.unique(xs.reshape(-1, d), axis=0, return_inverse=True)
+        mt, mr = params.machine_tensors()
+        p = dk.reshape(gather_rows(grounder(Value(rows)), inverse.reshape(-1)), (b, t_len, -1))
+        states = dk.pmm_scan(np.broadcast_to(params.q0, (b, params.n_states)).copy(), p, mt)
+        loss = dk.cross_entropy(ProbTraces(p, states, mr).rewards, ys)
+        if optimizer is not None:
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+        total += loss.item() * ys.size
+        steps += ys.size
+    return total / max(steps, 1)
 
 
 def step_states(net, state, xs) -> list:

@@ -122,7 +122,8 @@ class TestUrs:
 
 
 class TestGround:
-    def test_trains_and_saves_checkpoint(self, tmp_path, task1_machine_file, task_machines):
+    def test_trains_and_saves_checkpoint(self, tmp_path, task1_machine_file, task_machines,
+                                         capsys):
         traces = synth_dataset(DEFAULT_CONFIG, task_machines[1], policy="mixture", n=40, seed=2)
         trace_file = tmp_path / "traces.csv"
         trace_file.write_text(traces_to_csv(traces))
@@ -130,6 +131,7 @@ class TestGround:
         code = main(["ground", "--machine", str(task1_machine_file), "--traces", str(trace_file),
                      "--epochs", "3", "--out", str(ckpt)])
         assert code == 0
+        assert "trained on 40 episodes in 3 epochs; final loss" in capsys.readouterr().out
         arrays, meta = load_params(ckpt)
         assert meta["kind"] == "grounder"
         assert len(arrays) == 6
@@ -242,6 +244,7 @@ class TestBadArguments:
         for name, steps in (("gap", ((0, 0), (0, 1), (0, 5))), ("neg", ((0, 0), (1, 3), (1, -2)))):
             rows = "".join(f"{ep},{t},1,0,0,0.0\n" for ep, t in steps)
             (tmp_path / f"{name}.csv").write_text("episode,t,x,y,reward_class,scalar_reward\n" + rows)
+        (tmp_path / "off.csv").write_text("episode,t,x,y,reward_class,scalar_reward\n0,0,99,-3,0,0.0\n")
         return {"tmp": tmp_path, "mm": task1_machine_file, "traces": traces}
 
     _TRAIN = "train --task 1 --agent rm --episodes 1 --out {tmp}/o"
@@ -264,6 +267,8 @@ class TestBadArguments:
          "episode 0, t 2: missing row"),
         ("ground --machine {mm} --traces {tmp}/neg.csv --out {tmp}/o", 2,
          "episode 1, t 0: missing row"),
+        ("ground --machine {mm} --traces {tmp}/off.csv --out {tmp}/o", 2,
+         "episode 0, t 0: cell (99, -3) is outside the 5x5 grid"),
         (_TRAIN + " --seeds 0,0", 2, "none negative or repeated"),
         (_TRAIN + " --jobs 0", 1, "--jobs must be at least 1, got 0"),
         (_TRAIN + " --jobs=-1", 1, "--jobs must be at least 1, got -1"),

@@ -10,7 +10,6 @@ from rmkit.diffkit import (
     concat,
     cross_entropy,
     dropout,
-    gather_rows,
     log_softmax,
     lstm_scan,
     matmul,
@@ -20,7 +19,6 @@ from rmkit.diffkit import (
     pmm_step,
     relu,
     reshape,
-    reward_nll,
     sigmoid,
     softmax,
     spawn_rngs,
@@ -147,16 +145,6 @@ class TestGradients:
             return vsum(mul(mlp(x, [(w1, b1), (w2, b2)], acts), weights))
 
         check_op(build, x_shape, (4, 6), (6,), (6, 5), (5,))
-
-    @pytest.mark.parametrize("learnable", [False, True])
-    def test_reward_nll(self, learnable):
-        targets = np.array([[0, 2, 1], [2, 2, 0]])
-        mr = np.random.default_rng(14).dirichlet(np.ones(3), size=4)
-
-        def build(q, *m):
-            return reward_nll(softmax(q), softmax(m[0]) if m else mr, targets)
-
-        check_op(build, (2, 3, 4), *([(4, 3)] if learnable else []))
 
     def test_dropout_gradient(self):
         # re-seeding inside the build keeps the mask fixed across evaluations
@@ -296,20 +284,6 @@ class TestLstmScan:
                 lstm_scan(states, xs, cell.wx, cell.wh, cell.b)
 
 
-class TestGatherRows:
-    def test_gradcheck(self):
-        index = np.array([2, 0, 2, 1, 2, 0])
-        weights = np.random.default_rng(41).standard_normal((6, 4))
-        check_op(lambda a: vsum(mul(gather_rows(softmax(a), index), weights)), (3, 4))
-
-    def test_rows_and_summed_grads(self):
-        a = Value(np.arange(6.0).reshape(3, 2))
-        out = gather_rows(a, [1, 1, 0])
-        assert np.array_equal(out.data, [[2.0, 3.0], [2.0, 3.0], [0.0, 1.0]])
-        vsum(out).backward()
-        assert np.array_equal(a.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
-
-
 class TestMlp:
     @pytest.mark.parametrize("acts", [("tanh",), (None,), ("softmax",), ("tanh", "tanh", None),
                                       ("tanh", None, "softmax")])
@@ -359,40 +333,10 @@ class TestMlp:
         rng = np.random.default_rng(23)
         for x in (rng.standard_normal(4), rng.standard_normal((3, 4)) * 5):
             for axis in (-1, 0):
-                out = softmax(x, axis=axis)
-                assert isinstance(out, np.ndarray)
-                assert np.array_equal(out, softmax(Value(x), axis=axis).data)
-
-
-class TestRewardNll:
-    @pytest.mark.parametrize("learnable", [False, True])
-    @pytest.mark.parametrize("shape", [(5, 4), (3, 7, 4)])
-    def test_matches_chained_ops_bitwise(self, learnable, shape):
-        rng = np.random.default_rng(29)
-        states = rng.dirichlet(np.ones(4), size=shape[:-1])
-        mr = rng.dirichlet(np.ones(3), size=4)
-        mr[0] = [1.0, 0.0, 0.0]  # exact zeros: floored probabilities get no grad
-        targets = rng.integers(0, 3, size=shape[:-1])
-        states[(0,) * (len(shape) - 1)] = [1.0, 0.0, 0.0, 0.0]
-        targets.flat[0] = 2  # a floored probability: a large loss, no grad through it
-        fused_q, chain_q = Value(states.copy()), Value(states.copy())
-        fused_mr, chain_mr = (Value(mr.copy()), Value(mr.copy())) if learnable else (mr, mr)
-        fused = reward_nll(fused_q, fused_mr, targets)
-        fused.backward()
-        flat = matmul(reshape(chain_q, (-1, 4)), chain_mr if learnable else Value(mr))
-        chained = cross_entropy(reshape(flat, shape[:-1] + (3,)), targets)
-        chained.backward()
-        assert np.array_equal(fused.data, chained.data)
-        assert np.array_equal(fused_q.grad, chain_q.grad)
-        if learnable:
-            assert np.array_equal(fused_mr.grad, chain_mr.grad)
-
-    def test_target_shape_and_non_finite(self):
-        q = Value(np.full((2, 3), 0.5))
-        with pytest.raises(InputError):
-            reward_nll(q, np.eye(3), np.zeros(3, dtype=int))
-        with pytest.raises(NumericsError):
-            reward_nll(q, np.full((3, 2), np.nan), np.zeros(2, dtype=int))
+                for op in (softmax, lambda a, axis: tau_softmax(a, 0.3, axis=axis)):
+                    out = op(x, axis=axis)
+                    assert isinstance(out, np.ndarray)
+                    assert np.array_equal(out, op(Value(x), axis=axis).data)
 
 
 class TestForwardValues:

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     assert_grad_close,
+    graph_epoch,
     numeric_grad,
     random_machine,
     random_string,
@@ -14,11 +15,11 @@ from helpers import (
 from rmkit import nrm
 from rmkit.automata import equivalent, minimize, run_string, shape_rewards
 from rmkit.diffkit import Adam, Value, cross_entropy
-from rmkit.errors import InputError
+from rmkit.errors import InputError, NumericsError
 from rmkit.networks import Grounder, OneHotGrounder
 from rmkit.nrm import (
     MachineStateTracker,
-    distinct_rows,
+    default_tau_schedule,
     extract_machine,
     forward,
     forward_batch,
@@ -109,23 +110,20 @@ class TestForwardExactness:
             assert np.allclose(batched.rewards.data[b], single.rewards.data)
 
     def test_distinct_rows_forward_matches_full_rows(self, task_machines):
+        """The grounding loss runs the grounder on distinct rows and gathers: the loss of
+        forward_batch on every row, and each repeated row's grads summed."""
         rng = np.random.default_rng(75)
         params = params_from_machine(task_machines[1])
         g = Grounder(rng, 2, 5, hidden=16)
         xs = rng.integers(0, 5, size=(6, 9, 2)) / 4.0  # grid cells, many repeated
         ys = rng.integers(0, len(params.output_classes), size=(6, 9))
-        cells = distinct_rows(xs)
-        assert len(cells[0]) <= 25
-        full = forward_batch(params, g, xs)
-        cross_entropy(full.rewards, ys).backward()
+        full = cross_entropy(forward_batch(params, g, xs).rewards, ys)
+        full.backward()
         full_grads = [p.grad for p in g.params()]
-        for p in g.params():
-            p.grad = None
-        distinct = forward_batch(params, g, xs, cells)
-        cross_entropy(distinct.rewards, ys).backward()
-        for a, b in zip((full.symbols, full.states, full.rewards),
-                        (distinct.symbols, distinct.states, distinct.rewards)):
-            assert np.array_equal(a.data, b.data)
+        fit = nrm._GroupFit(params, xs, ys)
+        assert len(fit.rows) <= 25
+        assert fit.loss(g) == full.item()
+        assert fit.step(g, Adam(g.params(), lr=0.0)) == full.item()  # lr 0 keeps the weights
         for a, p in zip(full_grads, g.params()):
             assert np.allclose(a, p.grad, rtol=1e-12, atol=1e-15)
 
@@ -216,7 +214,7 @@ class TestTrainGrounder:
         params = params_from_machine(m)
         g = Grounder(np.random.default_rng(0), 2, 2)
         before = [p.data.copy() for p in g.params()]
-        train_grounder(params, g, [], epochs=10)
+        assert train_grounder(params, g, [], epochs=10) == 0
         assert all(np.array_equal(a, p.data) for a, p in zip(before, g.params()))
 
     def test_learnable_machine_rejected(self):
@@ -268,7 +266,7 @@ class TestTrainGrounder:
 
 
 class TestGroupFit:
-    """train_grounder's graph-free group steps against the graph reference, ``_epoch``."""
+    """The grounding loss's graph-free group steps against the graph reference, graph_epoch."""
 
     @staticmethod
     def _dataset(machine, seed):
@@ -281,31 +279,10 @@ class TestGroupFit:
         return traces_from_strings(machine, strings)
 
     @staticmethod
-    def _reference(params, grounder, dataset, epochs, rng):
-        """train_grounder's loop over the graph path: the epoch losses, in order."""
-        optimizer = Adam(grounder.params(), lr=1e-2)
-        groups = nrm._grouped_by_length(dataset)
-        losses, best, stale = [], np.inf, 0
-        for _ in range(epochs):
-            losses.append(nrm._epoch(params, grounder, groups, rng.permutation(len(groups)),
-                                     optimizer))
-            if best - losses[-1] < nrm.MIN_IMPROVEMENT:
-                stale += 1
-                if stale >= nrm.PATIENCE:
-                    break
-            else:
-                stale = 0
-            best = min(best, losses[-1])
-        return losses
-
-    def _fit(self, monkeypatch, machine, dataset, epochs, seed, poison=False):
-        """Reference and train_grounder from one grounder init; their epoch losses and grounders."""
-        params = params_from_machine(machine)
-        k = len(machine.alphabet)
-        ref_grounder, grounder = (Grounder(np.random.default_rng(5), k, k, hidden=16)
-                                  for _ in range(2))
-        ref_losses = self._reference(params, ref_grounder, dataset, epochs,
-                                     np.random.default_rng(seed))
+    def _recorded_losses(monkeypatch, dataset, poison):
+        """Patch _GroupFit.step to record each step; returns a function that reads the epoch
+        losses off the record.  With ``poison`` every scratch buffer is NaN before each step,
+        so no value may be read that the step did not write."""
         steps, step = [], nrm._GroupFit.step
 
         def recording_step(fit, grounder, optimizer):
@@ -316,47 +293,147 @@ class TestGroupFit:
             return steps[-1][0]
 
         monkeypatch.setattr(nrm._GroupFit, "step", recording_step)
-        train_grounder(params, grounder, dataset, epochs=epochs,
-                       optimizer=Adam(grounder.params(), lr=1e-2), rng=np.random.default_rng(seed))
         n_groups = len(nrm._grouped_by_length(dataset))
-        losses = []
-        for e in range(0, len(steps), n_groups):
-            total = 0.0
-            for loss, size in steps[e:e + n_groups]:
-                total += loss * size
-            losses.append(total / sum(len(tr) for tr in dataset))
-        assert len(steps) == len(losses) * n_groups
-        return ref_losses, losses, ref_grounder, grounder
+
+        def losses():
+            out = []
+            for e in range(0, len(steps), n_groups):
+                total = 0.0
+                for loss, size in steps[e:e + n_groups]:
+                    total += loss * size
+                out.append(total / sum(len(tr) for tr in dataset))
+            assert len(steps) == len(out) * n_groups
+            return out
+
+        return losses
+
+    @staticmethod
+    def _reference(params, grounder, dataset, epochs, rng):
+        """train_grounder's loop over the graph path: the epoch losses, in order."""
+        optimizer = Adam(grounder.params(), lr=1e-2)
+        groups = nrm._grouped_by_length(dataset)
+        losses, best, stale = [], np.inf, 0
+        for _ in range(epochs):
+            losses.append(graph_epoch(params, grounder, groups, rng.permutation(len(groups)),
+                                      optimizer))
+            if best - losses[-1] < nrm.MIN_IMPROVEMENT:
+                stale += 1
+                if stale >= nrm.PATIENCE:
+                    break
+            else:
+                stale = 0
+            best = min(best, losses[-1])
+        return losses
+
+    def _fit(self, monkeypatch, machine, dataset, epochs, seed, poison=False):
+        """Reference and train_grounder from one grounder init: their epoch losses and
+        grounders, and the epoch count train_grounder returned."""
+        params = params_from_machine(machine)
+        k = len(machine.alphabet)
+        ref_grounder, grounder = (Grounder(np.random.default_rng(5), k, k, hidden=16)
+                                  for _ in range(2))
+        ref_losses = self._reference(params, ref_grounder, dataset, epochs,
+                                     np.random.default_rng(seed))
+        losses = self._recorded_losses(monkeypatch, dataset, poison)
+        ran = train_grounder(params, grounder, dataset, epochs=epochs,
+                             optimizer=Adam(grounder.params(), lr=1e-2),
+                             rng=np.random.default_rng(seed))
+        return ref_losses, losses(), ref_grounder, grounder, ran
 
     @pytest.mark.parametrize("task", [1, 2, 4])
     @pytest.mark.parametrize("poison", [False, True])
     def test_matches_graph_reference_bitwise(self, task_machines, monkeypatch, task, poison):
-        """Grounder params, epoch losses and the epoch count; with ``poison`` every scratch
-        buffer is NaN before each step, so no value may be read that the step did not write."""
+        """Grounder params, epoch losses and the epoch count."""
         machine = task_machines[task]
         dataset = self._dataset(machine, task)
-        shapes = [ys.shape for _, ys, _ in nrm._grouped_by_length(dataset)]
+        shapes = [ys.shape for _, ys in nrm._grouped_by_length(dataset)]
         assert (1, 1) in shapes and (1, 9) in shapes and (60, 12) in shapes
-        ref_losses, losses, ref_grounder, grounder = self._fit(monkeypatch, machine, dataset,
-                                                               30, task, poison)
+        ref_losses, losses, ref_grounder, grounder, ran = self._fit(monkeypatch, machine, dataset,
+                                                                    30, task, poison)
         assert np.array_equal(losses, ref_losses)
+        assert ran == len(ref_losses)
         for p, ref in zip(grounder.params(), ref_grounder.params()):
             assert np.array_equal(p.data, ref.data)
 
     def test_stops_at_the_reference_epoch(self, task_machines, monkeypatch):
         machine = task_machines[1]
-        ref_losses, losses, ref_grounder, grounder = self._fit(
+        ref_losses, losses, ref_grounder, grounder, ran = self._fit(
             monkeypatch, machine, self._dataset(machine, 0), 300, 0)
-        assert len(ref_losses) < 300  # stopped early
+        assert ran == len(ref_losses) < 300  # stopped early
         assert np.array_equal(losses, ref_losses)
         for p, ref in zip(grounder.params(), ref_grounder.params()):
             assert np.array_equal(p.data, ref.data)
 
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_pure_learning_matches_graph_reference_bitwise(self, task_machines, monkeypatch,
+                                                           poison):
+        """pure_learning's loop against the graph: machine logits, epoch losses and the
+        learned machine's dataset_loss."""
+        machine = task_machines[1]
+        dataset = self._dataset(machine, 3)
+        k, epochs, seed = len(machine.alphabet), 25, 2
+        rng = np.random.default_rng(seed)
+        ref = random_params(rng, machine.alphabet, machine.output_classes, 4,
+                            tau=default_tau_schedule(0))
+        optimizer = Adam(ref.trainable_params(), lr=nrm.PURE_LEARNING_LR)
+        groups = nrm._grouped_by_length(dataset)
+        ref_losses = []
+        for epoch in range(epochs):
+            ref.tau = default_tau_schedule(epoch)
+            ref_losses.append(graph_epoch(ref, OneHotGrounder(k), groups,
+                                          rng.permutation(len(groups)), optimizer))
+        losses = self._recorded_losses(monkeypatch, dataset, poison)
+        params, _ = pure_learning(dataset, 4, machine.alphabet, machine.output_classes,
+                                  epochs=epochs, seed=seed)
+        assert np.array_equal(losses(), ref_losses)
+        assert np.array_equal(params.mt.data, ref.mt.data)
+        assert np.array_equal(params.mr.data, ref.mr.data)
+        assert nrm.dataset_loss(params, OneHotGrounder(k), dataset) == graph_epoch(
+            ref, OneHotGrounder(k), groups, range(len(groups)))
+
+    def test_learnable_step_grads_match_finite_differences(self, task_machines):
+        machine = task_machines[1]
+        rng = np.random.default_rng(9)
+        params = random_params(rng, machine.alphabet, machine.output_classes, 3, tau=0.7)
+        strings = [tuple(int(s) for s in rng.integers(0, 5, size=4)) for _ in range(8)]
+        (xs, ys), = nrm._grouped_by_length(traces_from_strings(machine, strings))
+        fit, grounder = nrm._GroupFit(params, xs, ys), OneHotGrounder(5)
+        fit.step(grounder, Adam(params.trainable_params(), lr=0.0))  # lr 0 keeps the logits
+        for v in (params.mt, params.mr):
+            def f(arr, v=v):
+                saved = v.data
+                v.data = arr
+                out = fit.loss(grounder)
+                v.data = saved
+                return out
+
+            assert_grad_close(v.grad, numeric_grad(f, v.data.copy()), rtol=1e-4)
+
+    def test_floored_probability_is_a_large_loss_with_no_grad(self, task_machines):
+        # one step cannot reach task 1's accepting class, so its probability is exactly 0
+        machine = task_machines[1]
+        reached = {machine.outputs[q] for q in machine.transitions[machine.initial]}
+        cls = next(c for c in range(len(machine.output_classes)) if c not in reached)
+        fit = nrm._GroupFit(params_from_machine(machine), np.zeros((1, 1, 2)), np.array([[cls]]))
+        g = Grounder(np.random.default_rng(3), 2, 5, hidden=8)
+        assert fit.step(g, Adam(g.params(), lr=0.0)) == -np.log(1e-12)
+        assert not any(p.grad.any() for p in g.params())
+
+    def test_non_finite_loss_and_bad_target_shape_rejected(self, task_machines):
+        params = params_from_machine(task_machines[1])
+        xs, ys = np.zeros((2, 3, 2)), np.zeros((2, 3), dtype=np.int64)
+        g = Grounder(np.random.default_rng(3), 2, 5, hidden=8)
+        g.layers[-1][1].data = np.full(5, np.nan)
+        with pytest.raises(NumericsError, match="not finite"):
+            nrm._GroupFit(params, xs, ys).loss(g)
+        with pytest.raises(InputError, match="targets shape"):
+            nrm._GroupFit(params, xs, ys[:, :2])
+
     def test_groups_share_no_buffer(self, task_machines):
         machine = task_machines[2]
         params = params_from_machine(machine)
-        fits = [nrm._GroupFit(params, ys, cells)
-                for _, ys, cells in nrm._grouped_by_length(self._dataset(machine, 2))]
+        fits = [nrm._GroupFit(params, xs, ys)
+                for xs, ys in nrm._grouped_by_length(self._dataset(machine, 2))]
         for f, g in itertools.combinations(fits, 2):
             for u in _scratch(f):
                 assert not any(np.shares_memory(u, v) for v in _scratch(g))
