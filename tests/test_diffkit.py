@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import assert_grad_close, chained_lstm_cell, list_pmm_scan, numeric_grad, step_states
+from helpers import (
+    assert_grad_close,
+    chained_lstm_cell,
+    gather_rows,
+    list_pmm_scan,
+    numeric_grad,
+    step_states,
+)
 from rmkit.diffkit import (
     Adam,
     Value,
@@ -282,6 +289,22 @@ class TestLstmScan:
                            (layer[:1], np.zeros((0, 3)))):
             with pytest.raises(InputError):
                 lstm_scan(states, xs, cell.wx, cell.wh, cell.b)
+
+
+class TestGatherRows:
+    """The ``gather_rows`` node of the graph reference in ``helpers.graph_epoch``."""
+
+    def test_gradcheck(self):
+        index = np.array([2, 0, 2, 1, 2, 0])
+        weights = np.random.default_rng(41).standard_normal((6, 4))
+        check_op(lambda a: vsum(mul(gather_rows(softmax(a), index), weights)), (3, 4))
+
+    def test_rows_and_summed_grads(self):
+        a = Value(np.arange(6.0).reshape(3, 2))
+        out = gather_rows(a, np.array([1, 1, 0]))
+        assert np.array_equal(out.data, [[2.0, 3.0], [2.0, 3.0], [0.0, 1.0]])
+        vsum(out).backward()
+        assert np.array_equal(a.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
 
 class TestMlp:
