@@ -5,7 +5,10 @@ A shortcut is a symbol renaming the machine cannot distinguish from the
 identity on any input string.  Shortcuts bound what reward-driven symbol
 grounding can ever recover: a grounder trained only on reward sequences is
 at best correct up to one of them.  The pruned search visits each
-candidate's reachable state pairs once; the brute-force baseline instead
+candidate's reachable state pairs once, and only for one candidate per
+column class: symbols that move every state alike (here the no-op symbols
+past a task's own) are interchangeable as images, so task 1's 108
+level-1 candidates share 4 searches.  The brute-force baseline instead
 materializes the whole bounded string support per candidate, which is what
 makes the speedup three orders of magnitude on the larger machines.
 """

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_urs.add_argument("--machine", required=True)
     p_urs.add_argument("--oracle", default="none",
                        help="cross-check: exact, bounded:<L>, or none")
-    p_urs.add_argument("--jobs", type=int, default=1, help="ignored: the search runs in one process")
+    p_urs.add_argument("--jobs", type=int, default=1, help="at least 1; ignored, the search runs in one process")
     p_urs.add_argument("--out", required=True, help="report CSV path")
 
     p_ground = sub.add_parser("ground", help="train a symbol grounder from recorded traces")
@@ -134,7 +134,13 @@ def _oracle(spec: str):
     raise UsageError(f"bad oracle spec {spec!r} (want exact, bounded:<L> with L >= 1, or none)")
 
 
+def _check_jobs(jobs: int):
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+
+
 def cmd_urs(args) -> int:
+    _check_jobs(args.jobs)
     oracle = _oracle(args.oracle)
     machine = automata.deserialize(_read(args.machine))
     report = shortcuts.find_urs(machine)
@@ -200,8 +206,7 @@ def cmd_ground(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_jobs(args.jobs)
     task, agent = args.task, args.agent
     train_cfg = training.TrainConfig()
     grid = _load_grid(args)

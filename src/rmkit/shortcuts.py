@@ -12,12 +12,17 @@ Three routes are implemented:
   splits by symbol: ``alpha`` survives it exactly when each ``alpha(p)``
   leads from the initial state to a state with the same output as ``p``
   does.  So only the Cartesian product of those per-symbol image sets is
-  built, never the |P|^|P| table.  Each product row then keeps a frontier
-  of (state-under-x, state-under-alpha(x)) pairs, deduplicated per row
-  over its lifetime; extensions are skipped when both sides sit in
-  absorbing states (suffixes can never diverge) or when a symbol
-  self-loops both sides (pumping adds nothing).  The frontiers of all
-  rows advance together as boolean arrays, one scatter per level.
+  built, never the |P|^|P| table.  Symbols with the same column
+  ``delta(., r)`` are interchangeable as images: ``alpha`` reads
+  ``alpha(p)`` only through that column.  So the search runs on the
+  class rows, the product with each image set cut to one symbol per
+  column class, and every product row takes the outcome of its class
+  row.  Each class row keeps a frontier of
+  (state-under-x, state-under-alpha(x)) pairs, deduplicated per row over
+  its lifetime; extensions are skipped when both sides sit in absorbing
+  states (suffixes can never diverge) or when a symbol self-loops both
+  sides (pumping adds nothing).  The frontiers of all rows advance
+  together as boolean arrays, one gather and one scatter per level.
 * :func:`urs_oracle_exact` - per-candidate machine equivalence via
   synchronized-product reachability; the ground truth.
 * :func:`urs_oracle_bounded` - string-semantics brute force over all
@@ -112,25 +117,33 @@ class UrsReport:
 
 
 def _machine_tables(m: MooreMachine):
+    """The pair tables of the level loop, over pairs j = q1 * |Q| + q2.
+
+    ``bad``: the pairs whose outputs differ.  ``ext_pair``: the pairs not
+    absorbing on both sides.  ``target[(p * |P| + r) * |Q|^2 + j]``: the pair
+    reached from j by reading p on the left and r on the right.
+    """
     n = m.n_states
-    delta = np.array(m.transitions, dtype=np.int64)  # [Q, P]
+    delta = np.array(m.transitions, dtype=np.int64).T  # [P, Q]
     out = np.array(m.outputs, dtype=np.int64)
-    pairs = n * n
-    q1 = np.arange(pairs) // n
-    q2 = np.arange(pairs) % n
-    bad = out[q1] != out[q2]
+    bad = (out[:, np.newaxis] != out).reshape(-1)
     absorbing = np.zeros(n, dtype=bool)
     absorbing[list(absorbing_states(m))] = True
-    abs_pair = absorbing[q1] & absorbing[q2]
-    # target[p, r, j]: pair reached from pair j by reading p on the left and r on the right
-    target = (delta[q1].T * n)[:, np.newaxis, :] + delta[q2].T[np.newaxis, :, :]
-    return delta, bad, abs_pair, target
+    ext_pair = ~(absorbing[:, np.newaxis] & absorbing).reshape(-1)
+    target = (delta * n)[:, np.newaxis, :, np.newaxis] + delta[np.newaxis, :, np.newaxis, :]
+    return bad, ext_pair, target.reshape(-1)
 
 
 def _level1_images(m: MooreMachine) -> tuple[tuple[int, ...], ...]:
     """Per symbol p, every r whose first step matches p's output: alpha(p) must be one."""
-    first = [m.outputs[m.transitions[m.initial][p]] for p in range(len(m.alphabet))]
+    first = [m.outputs[q] for q in m.transitions[m.initial]]
     return tuple(tuple(r for r, o in enumerate(first) if o == first[p]) for p in range(len(first)))
+
+
+def _column_reps(m: MooreMachine) -> list[int]:
+    """rep[r]: the first symbol whose column delta(., r) equals r's."""
+    first: dict[tuple[int, ...], int] = {}
+    return [first.setdefault(col, r) for r, col in enumerate(zip(*m.transitions))]
 
 
 def _product_array(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -147,95 +160,113 @@ def _product_array(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
 
 
 _BLOCK_ROWS = 1 << 16  # rows per scatter in the level loop and per block of report text
-_MAX_ROWS = 1 << 22  # level-1 product cap; task 1 over 9 symbols, 3.3M rows, peaks at 950 MB
+_MAX_ROWS = 1 << 22  # level-1 product cap; task 1 over 9 symbols, 3.3M rows, peaks at 340 MB
 
 
-def _search_chunk(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
-                  skip_selfloop: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _level_loop(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
+                skip_selfloop: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The search on the renamings in the rows of ``cand``: per row whether it
+    survives, the level it resolved at and its largest frontier, then the
+    number of levels run."""
     n, k = m.n_states, len(m.alphabet)
-    delta, bad, abs_pair, target = _machine_tables(m)
+    bad, ext_pair, target = _machine_tables(m)
     big_n = cand.shape[0]
     pairs = n * n
-    bad_cols = np.flatnonzero(bad)
 
     alive = np.ones(big_n, dtype=bool)
     iterations = np.zeros(big_n, dtype=np.int64)
-    peak = np.zeros(big_n, dtype=np.int64)
 
-    # level 1: every length-1 string; each image set keeps its pairs good
-    q0 = m.initial
+    # base[i, p]: where row i's table for reading p starts in the flat target
+    # table.  Level 1 reads every symbol from the initial pair (q0, q0); each
+    # image set keeps those pairs good.
+    base = (np.arange(k) * k + cand) * pairs
     act = np.arange(big_n)
     fr = np.zeros((big_n, pairs), dtype=bool)
-    fr[act[:, np.newaxis], delta[q0] * n + delta[q0][cand]] = True
-    peak[:] = np.count_nonzero(fr, axis=1)
+    fr[act[:, np.newaxis], target[base + m.initial * (n + 1)]] = True
+    peak = fr.sum(axis=1, dtype=np.int64)
 
-    # candidates advance level by level and drop out of the active set as
-    # soon as they die or their frontier stops growing
+    # rows advance level by level and drop out of the active set as soon as
+    # they die or their frontier stops growing
     vis = fr.copy()
-    ca = cand
     level = 1
     cap = pairs + 1
-    symbols = np.arange(k)
     while act.size:
         level += 1
         if level > cap:
             raise RuntimeError("URS search exceeded the product-space iteration cap")
-        ext = fr & ~abs_pair[np.newaxis, :] if skip_absorbing else fr
+        ext = fr & ext_pair if skip_absorbing else fr
         # every frontier entry (row r, pair c) read with every symbol at once,
         # in blocks of rows that bound the [entries, P] temporaries
-        nxt = np.zeros_like(fr)
-        for lo in range(0, len(ca), _BLOCK_ROWS):
+        nxt = np.zeros(fr.shape, dtype=bool)
+        flat = nxt.reshape(-1)
+        for lo in range(0, len(act), _BLOCK_ROWS):
             r, c = np.nonzero(ext[lo:lo + _BLOCK_ROWS])
             r += lo
-            targ = target[symbols, ca[r], c[:, np.newaxis]]  # [E, P]
-            r = np.broadcast_to(r[:, np.newaxis], targ.shape)
-            if skip_selfloop:
-                moved = targ != c[:, np.newaxis]
-                r, targ = r[moved], targ[moved]
-            nxt[r, targ] = True
-        new = nxt & ~vis
-        peak[act] = np.maximum(peak[act], np.count_nonzero(new, axis=1))
-        died_l = new[:, bad_cols].any(axis=1)
-        empty_l = ~died_l & ~new.any(axis=1)
-        alive[act[died_l]] = False
-        resolved = died_l | empty_l
+            targ = target[base[r] + c[:, np.newaxis]]  # [E, P]
+            hit = targ + (r * pairs)[:, np.newaxis]
+            flat[hit[targ != c[:, np.newaxis]] if skip_selfloop else hit] = True
+        new = nxt > vis
+        vis |= new
+        grown = new.sum(axis=1, dtype=np.int64)
+        died = new @ bad
+        resolved = died | (grown == 0)
+        peak[act] = np.maximum(peak[act], grown)
+        if not resolved.any():
+            fr = new
+            continue
+        alive[act[died]] = False
         iterations[act[resolved]] = level
         keep = ~resolved
         act = act[keep]
         fr = new[keep]
-        vis = (vis | new)[keep]
-        ca = ca[keep]
+        vis = vis[keep]
+        base = base[keep]
     return alive, iterations, peak, level
 
 
 def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool = True) -> UrsReport:
     """All renamings alpha with machine == machine-after-alpha, by pruned search.
 
-    Exactly the set ``{alpha : equivalent(m, relabel(m, alpha))}``.  The two
-    skips never change the result (they drop extensions whose suffixes are
-    covered by the absorbing-state and pumping arguments); they exist to be
-    toggled off for the pruning-neutrality check.  A level-1 product over
-    ``_MAX_ROWS`` renamings raises :class:`InputError` before any allocation.
+    Exactly the set ``{alpha : equivalent(m, relabel(m, alpha))}``.  The level
+    loop runs on the class rows only: the level-1 product with every image
+    set cut to the first symbol of each column class (task 1 over ``a``..``h``:
+    4 rows for the 186,624 of the product).  A renaming reads its images only
+    through their columns, so its pair frontiers equal its class row's at
+    every level, and each product row of the report copies its class row's
+    verdict, level and peak.  The two skips never change the result (they
+    drop extensions whose suffixes are covered by the absorbing-state and
+    pumping arguments); they exist to be toggled off for the
+    pruning-neutrality check.  A level-1 product over ``_MAX_ROWS``
+    renamings raises :class:`InputError` before any allocation.
     """
     t0 = time.perf_counter()
     images = _level1_images(m)
     rows = math.prod(len(a) for a in images)
     if rows > _MAX_ROWS:
         raise InputError(f"{rows} renamings pass level 1, over the {_MAX_ROWS} the search can hold")
+    rep = _column_reps(m)
+    reps = tuple(tuple(r for r in a if rep[r] == r) for a in images)
     cand = _product_array(images)
+    # index[i]: the class row of product row i, the mixed-radix number of the
+    # positions of its images' reps in ``reps``
+    index = np.arange(math.prod(len(b) for b in reps)).reshape([len(b) for b in reps])
+    for p, (a, b) in enumerate(zip(images, reps)):
+        index = index.take([b.index(rep[r]) for r in a], axis=p)
+    index = index.reshape(-1)
     t_init = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    alive, iterations, peak, levels = _search_chunk(m, cand, skip_absorbing, skip_selfloop)
+    alive, iterations, peak, levels = _level_loop(m, _product_array(reps), skip_absorbing,
+                                                  skip_selfloop)
     t_search = time.perf_counter() - t1
 
     return UrsReport(
         alphabet=m.alphabet,
         images=images,
         candidates=cand,
-        survived=alive,
-        iterations=iterations,
-        peak_pairs=peak,
+        survived=alive[index],
+        iterations=iterations[index],
+        peak_pairs=peak[index],
         levels=levels,
         timings={"init": t_init, "search": t_search, "total": time.perf_counter() - t0},
     )

@@ -139,6 +139,22 @@ def random_machine(rng: np.random.Generator, max_states=5, max_symbols=4, max_cl
     return minimize(m) if minimized else m
 
 
+def repeated_column_machine(rng: np.random.Generator, max_states=5, max_symbols=5, max_classes=3,
+                            minimized=True) -> MooreMachine:
+    """Random machine whose k >= 3 symbols draw their columns delta(., p) from a
+    pool of 2..k-1, so at least two symbols are interchangeable as images."""
+    n = int(rng.integers(2, max_states + 1))
+    k = int(rng.integers(3, max_symbols + 1))
+    c = int(rng.integers(2, max_classes + 1))
+    pool = rng.integers(0, n, size=(int(rng.integers(2, k)), n))
+    # every pool column is drawn once, the rest of the k at random
+    columns = pool[rng.permutation(np.r_[np.arange(len(pool)), rng.integers(0, len(pool), k - len(pool))])]
+    trans = tuple(tuple(int(q) for q in row) for row in columns.T)
+    outs = tuple(int(rng.integers(0, c)) for _ in range(n))
+    m = MooreMachine(tuple("abcdefgh"[:k]), trans, outs, tuple(range(c)), int(rng.integers(0, n)))
+    return minimize(m) if minimized else m
+
+
 def random_string(rng: np.random.Generator, n_symbols: int, max_len=8) -> tuple[int, ...]:
     length = int(rng.integers(0, max_len + 1))
     return tuple(int(rng.integers(0, n_symbols)) for _ in range(length))
@@ -166,25 +182,28 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rtol=1e-4):
     assert err.max() <= rtol, f"gradient mismatch: max rel err {err.max():.2e}"
 
 
-def full_table_urs(m: MooreMachine) -> tuple[list[tuple[int, ...]], str]:
-    """Survivors and report CSV from the level loop run on every renaming.
+def full_table_urs(m: MooreMachine, skip_absorbing=True,
+                   skip_selfloop=True) -> tuple[shortcuts.UrsReport, str]:
+    """The report and report CSV from the level loop run on every renaming itself.
 
-    The reference for find_urs, which searches only the level-1 product:
-    here all |P|^|P| rows are filtered by their length-1 strings, the rest
-    enter the level loop, and the CSV lists in lexicographic order every
+    The reference for find_urs, which runs the loop once per column class
+    row and copies each renaming's row from its class row: here all |P|^|P|
+    rows are filtered by their length-1 strings and every one of the rest
+    enters the level loop.  The CSV lists in lexicographic order every
     renaming that did not die at level 1, each with its own verdict.
     """
     cand = np.array(list(shortcuts.enumerate_maps(len(m.alphabet))), dtype=np.int64)
     # a renaming dies at level 1 when a symbol's first output differs from its image's
     first = np.array([m.outputs[q] for q in m.transitions[m.initial]])
     cand = cand[(first[cand] == first).all(axis=1)]
-    alive, iterations, _, levels = shortcuts._search_chunk(m, cand, True, True)
-    survivors = [tuple(int(v) for v in row) for row in cand[alive]]
+    alive, iterations, peak, levels = shortcuts._level_loop(m, cand, skip_absorbing, skip_selfloop)
+    images = tuple(tuple(np.unique(col).tolist()) for col in cand.T)
+    report = shortcuts.UrsReport(m.alphabet, images, cand, alive, iterations, peak, levels, {})
     lines = ["alpha,survived,iterations"]
     for alpha, ok, level in zip(cand, alive, iterations):
         lines.append(f"{shortcuts.format_map(alpha, m.alphabet)},{int(ok)},{int(level)}")
-    lines.append(f"TOTAL,{len(survivors)},{levels}")
-    return survivors, "\n".join(lines) + "\n"
+    lines.append(f"TOTAL,{int(alive.sum())},{levels}")
+    return report, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,8 @@ class TestBadArguments:
         (_TRAIN + " --seeds 0,0", 2, "none negative or repeated"),
         (_TRAIN + " --jobs 0", 1, "--jobs must be at least 1, got 0"),
         (_TRAIN + " --jobs=-1", 1, "--jobs must be at least 1, got -1"),
+        ("urs --machine {mm} --jobs 0 --out {tmp}/o", 1, "--jobs must be at least 1, got 0"),
+        ("urs --machine {mm} --jobs=-5 --out {tmp}/o", 1, "--jobs must be at least 1, got -5"),
         (_GROUND + " --out {tmp}/missing/g.npz", 2, "cannot write {tmp}/missing/g.npz"),
         ("urs --machine {mm} --out {tmp}/missing/r.csv", 2, "cannot write {tmp}/missing/r.csv"),
         ("compile --formula F(a) --machine {tmp}/missing/m.mm", 2,

@@ -8,6 +8,7 @@ from helpers import (
     full_table_urs,
     random_machine,
     random_string,
+    repeated_column_machine,
     visit_ab_machine,
 )
 from rmkit.automata import (
@@ -168,16 +169,16 @@ class TestLevelOneProduct:
         rng = np.random.default_rng(73 + seed)
         for i in range(15):
             m = random_machine(rng, max_states=5, max_symbols=5, minimized=i % 3 != 0)
-            survivors, csv = full_table_urs(m)
+            ref, csv = full_table_urs(m)
             report = find_urs(m)
-            assert report.survivors() == survivors
+            assert report.survivors() == ref.survivors()
             assert "".join(iter_report_csv(report)) == csv
 
     @pytest.mark.parametrize("tid", sorted(TASK_URS_COUNTS))
     def test_task_report_matches_full_table_reference(self, tid, task_machines):
-        survivors, csv = full_table_urs(task_machines[tid])
+        ref, csv = full_table_urs(task_machines[tid])
         report = find_urs(task_machines[tid])
-        assert report.survivors() == survivors
+        assert report.survivors() == ref.survivors()
         assert "".join(iter_report_csv(report)) == csv
 
     def test_mixed_name_lengths_match_full_table_reference(self, compile_formula):
@@ -213,6 +214,46 @@ class TestLevelOneProduct:
         monkeypatch.setattr(shortcuts, "_product_array", no_alloc)
         with pytest.raises(InputError, match=f"{11**11} renamings pass level 1"):
             find_urs(m)
+
+
+class TestColumnClasses:
+    def test_repeated_columns_match_exact_oracle(self):
+        rng = np.random.default_rng(83)
+        for i in range(50):
+            m = repeated_column_machine(rng, minimized=i % 2 == 0)
+            assert find_urs(m).survivor_set() == urs_oracle_exact(m)
+
+    @pytest.mark.parametrize("skip_absorbing, skip_selfloop",
+                             itertools.product((True, False), repeat=2))
+    def test_repeated_columns_match_the_row_level_loop(self, skip_absorbing, skip_selfloop):
+        rng = np.random.default_rng(89)
+        for i in range(50):
+            m = repeated_column_machine(rng, minimized=i % 2 == 0)
+            ref, csv = full_table_urs(m, skip_absorbing, skip_selfloop)
+            report = find_urs(m, skip_absorbing=skip_absorbing, skip_selfloop=skip_selfloop)
+            for field in ("candidates", "survived", "iterations", "peak_pairs"):
+                got, want = getattr(report, field), getattr(ref, field)
+                assert got.dtype == want.dtype and np.array_equal(got, want), field
+            assert report.levels == ref.levels
+            assert "".join(iter_report_csv(report)) == csv
+
+    def test_the_loop_runs_on_class_rows_and_the_reference_on_every_row(
+            self, compile_formula, monkeypatch):
+        rows = []
+        level_loop = shortcuts._level_loop
+
+        def counting(m, cand, *skips):
+            rows.append(len(cand))
+            return level_loop(m, cand, *skips)
+
+        monkeypatch.setattr(shortcuts, "_level_loop", counting)
+        # task 1 over a..h: {a}, {b} and {c..h} are its column classes
+        report = find_urs(compile_formula("F(a) & F(b)", tuple("abcdefgh")))
+        assert rows == [4]
+        assert len(report.candidates) == 186624
+        rows.clear()
+        full_table_urs(compile_formula("F(a) & F(b)", tuple("abcde")))
+        assert rows == [108]
 
 
 class TestBoundedOracle:
