@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_urs.add_argument("--machine", required=True)
     p_urs.add_argument("--oracle", default="none",
                        help="cross-check: exact, bounded:<L>, or none")
-    p_urs.add_argument("--jobs", type=int, default=1, help="at least 1; ignored, the search runs in one process")
+    p_urs.add_argument("--jobs", type=int, default=1,
+                       help="at least 1; ignored, the search runs in one process")
     p_urs.add_argument("--out", required=True, help="report CSV path")
 
     p_ground = sub.add_parser("ground", help="train a symbol grounder from recorded traces")

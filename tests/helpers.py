@@ -148,7 +148,8 @@ def repeated_column_machine(rng: np.random.Generator, max_states=5, max_symbols=
     c = int(rng.integers(2, max_classes + 1))
     pool = rng.integers(0, n, size=(int(rng.integers(2, k)), n))
     # every pool column is drawn once, the rest of the k at random
-    columns = pool[rng.permutation(np.r_[np.arange(len(pool)), rng.integers(0, len(pool), k - len(pool))])]
+    draws = np.r_[np.arange(len(pool)), rng.integers(0, len(pool), k - len(pool))]
+    columns = pool[rng.permutation(draws)]
     trans = tuple(tuple(int(q) for q in row) for row in columns.T)
     outs = tuple(int(rng.integers(0, c)) for _ in range(n))
     m = MooreMachine(tuple("abcdefgh"[:k]), trans, outs, tuple(range(c)), int(rng.integers(0, n)))
