@@ -222,7 +222,7 @@ def cmd_train(args) -> int:
         raise UsageError("train needs --task and --agent (flags or config file)")
     if args.episodes is not None:
         train_cfg = dataclasses.replace(train_cfg, episodes=args.episodes)
-    if args.seeds:
+    if args.seeds is not None:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(","))
         except ValueError:

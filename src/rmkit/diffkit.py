@@ -5,15 +5,16 @@ scatters the output adjoint back to its parents; ``Value.backward`` runs
 the recorded graph in reverse topological order and then releases it.
 Shapes up to three axes are supported, which covers everything the package
 needs: MLPs, LSTM cells, and the probabilistic machine recurrence.
+Every training path runs its own backward on plain arrays; the graph
+serves the public ``nrm.forward`` and the tests' bit references.
 :func:`mlp` and :func:`softmax` also take a plain array and then return
-one, recording nothing: the graph-free mode the agent loop runs in, where
-the rnn agent steps its LSTM with :func:`lstm_cell` and records each update
-window from the kept activations as one :func:`lstm_scan` node.  A fused
-node runs the numpy expressions of the op chain it replaces, in order, so
-it gives the same bits.  :func:`mlp`'s two halves, :func:`mlp_forward` and
-:func:`mlp_backward`, also run without a node, as do :func:`tau_softmax` and
-its adjoint :func:`softmax_grad`, in nrm's grounding loss, which runs its own
-backward.
+one, recording nothing.  A fused node runs the numpy expressions of the op
+chain it replaces, in order, so it gives the same bits.  The plain-array
+pieces are :func:`mlp`'s two halves, :func:`mlp_forward` and
+:func:`mlp_backward` (the A2C update and nrm's grounding loss),
+:func:`tau_softmax` with its adjoint :func:`softmax_grad`, and the rnn
+agent's :func:`lstm_cell`, whose kept activations :func:`lstm_backward`
+differentiates an update window from.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -541,7 +542,7 @@ def lstm_cell(x, h, c, wx, wh, b):
     """One LSTM step on plain arrays; gates [i, f, g, o] fused in ``wx``, ``wh``, ``b``.
 
     Returns the new ``h`` and ``c`` and the activations (i, f, g, o,
-    tanh(c)) that :func:`lstm_scan`'s backward reads.
+    tanh(c)) that :func:`lstm_backward` reads.
     """
     z = ((x @ wx + h @ wh) + b).reshape(4, -1)
     i, f, _, o = 1.0 / (1.0 + np.exp(-z))  # one pass over all four rows; row 2 is unused
@@ -551,49 +552,39 @@ def lstm_cell(x, h, c, wx, wh, b):
     return o * tc, c, (i, f, g, o, tc)
 
 
-def lstm_scan(states, xs, wx: Value, wh: Value, b: Value) -> Value:
-    """One LSTM layer over a window ``xs`` (``[T, in]``, array or Value) as one node.
+def lstm_backward(states, xs, dh, wx: Value, wh: Value, b: Value) -> np.ndarray:
+    """Backprop through one LSTM layer's window; returns the adjoint of ``xs``.
 
-    ``states`` are the layer's ``T + 1`` states ``(h, c, acts)`` from
-    :func:`lstm_cell`, starting at the constant boundary state, so the node
-    records the forward that acting already ran and runs none itself.
-    Returns the hidden states as ``[T, H]``: backprop through time truncated
-    at the window's start.  Backward is one reverse loop carrying dL/dh and
-    dL/dc that fills the ``[T, 4H]`` gate grads ``dz``; the grads of ``b``,
-    ``wh``, ``wx`` and ``xs`` then follow from one product each over the
-    window, as in :func:`pmm_scan`.
+    ``states`` are the layer's ``T + 1`` states ``(h, c, acts)`` that
+    :func:`lstm_cell` made over the ``[T, in]`` inputs ``xs`` from a constant
+    boundary state, and ``dh`` is the ``[T, H]`` adjoint of their ``h``: BPTT
+    truncated at the window's start, with no forward.  One reverse loop carries
+    dL/dh and dL/dc into the ``[T, 4H]`` gate grads ``dz``; the grads of ``b``,
+    ``wh``, ``wx`` (into their ``.grad``) and ``xs`` follow from one product each.
     """
-    x_val = xs if isinstance(xs, Value) else None
-    x_data = x_val.data if x_val is not None else np.asarray(xs, dtype=np.float64)
-    t_len = len(states) - 1
-    if x_data.shape != (t_len, wx.data.shape[0]) or t_len == 0:
-        raise InputError(f"lstm_scan wants xs [{t_len}>=1, {wx.data.shape[0]}], got {x_data.shape}")
+    t_len, n_h = len(states) - 1, wh.data.shape[0]
+    xs, dh = np.asarray(xs, dtype=np.float64), np.asarray(dh, dtype=np.float64)
+    if xs.shape != (t_len, wx.data.shape[0]) or dh.shape != (t_len, n_h) or t_len == 0:
+        raise InputError(f"lstm_backward wants xs [{t_len}>=1, {wx.data.shape[0]}] and dh "
+                         f"[{t_len}, {n_h}], got {xs.shape} and {dh.shape}")
     hs, cs, acts = zip(*states)
-    parents = (wx, wh, b) if x_val is None else (x_val, wx, wh, b)
-    out = Value(np.stack(hs[1:]), parents)
-
-    def backward():
-        dz = np.empty((t_len, b.data.size))  # dL/dz(t), z the fused gate input
-        dh_next = dc_next = 0.0
-        for t in range(t_len - 1, -1, -1):
-            i, f, g, o, tc = acts[t + 1]
-            dh = out.grad[t] + dh_next
-            dc = dh * o * (1.0 - tc**2) + dc_next
-            dz_t = dz[t].reshape(4, -1)
-            dz_t[0] = dc * g * i * (1.0 - i)
-            dz_t[1] = dc * cs[t] * f * (1.0 - f)
-            dz_t[2] = dc * i * (1.0 - g**2)
-            dz_t[3] = dh * tc * o * (1.0 - o)
-            dh_next = dz[t] @ wh.data.T
-            dc_next = dc * f
-        _accum(b, dz.sum(axis=0))
-        _accum(wh, np.stack(hs[:-1]).T @ dz)
-        _accum(wx, x_data.T @ dz)
-        if x_val is not None:
-            _accum(x_val, dz @ wx.data.T)
-
-    out._backward = backward
-    return out
+    dz = np.empty((t_len, b.data.size))  # dL/dz(t), z the fused gate input
+    dh_next = dc_next = 0.0
+    for t in range(t_len - 1, -1, -1):
+        i, f, g, o, tc = acts[t + 1]
+        dh_t = dh[t] + dh_next
+        dc = dh_t * o * (1.0 - tc**2) + dc_next
+        dz_t = dz[t].reshape(4, -1)
+        dz_t[0] = dc * g * i * (1.0 - i)
+        dz_t[1] = dc * cs[t] * f * (1.0 - f)
+        dz_t[2] = dc * i * (1.0 - g**2)
+        dz_t[3] = dh_t * tc * o * (1.0 - o)
+        dh_next = dz[t] @ wh.data.T
+        dc_next = dc * f
+    _accum(b, dz.sum(axis=0))
+    _accum(wh, np.stack(hs[:-1]).T @ dz)
+    _accum(wx, xs.T @ dz)
+    return dz @ wx.data.T
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,17 @@ critic are three tanh layers of width 120, the map-environment grounder is
 three linear layers with a tanh between the first two and a terminal
 softmax, and the recurrent baseline is a two-layer LSTM of width 50.
 
-Each feed-forward network has one forward: a Value in records a graph for
-training, a plain array in gives a plain array, the agent loop's mode.
+Each feed-forward network has one forward: a Value in records a graph, a
+plain array in gives a plain array, the mode every training path runs in.
 The LSTM steps on plain arrays only and keeps each step's activations, so
-an update records a window from them without running it forward again.
+an update backprops a window from them without running it forward again.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diffkit import Value, lstm_cell, lstm_scan, mlp
+from .diffkit import Value, lstm_backward, lstm_cell, mlp
 
 CKPT_VERSION = 1
 
@@ -31,13 +31,13 @@ class MLP:
 
     def __init__(self, rng, sizes):
         self.layers = [linear(rng, a, b) for a, b in zip(sizes, sizes[1:])]
-        self._acts = ("tanh",) * (len(self.layers) - 1) + (None,)
+        self.acts = ("tanh",) * (len(self.layers) - 1) + (None,)
 
     def __call__(self, x):
-        return mlp(x, self.layers, self._acts)
+        return mlp(x, self.layers, self.acts)
 
-    # The graph-free call sites use this name, so a span trace can tell
-    # action selection apart from graph builds.
+    # The agent loop acts through this name, so a span trace can tell action
+    # selection apart from graph calls.
     forward_numpy = __call__
 
     def params(self) -> list[Value]:
@@ -104,8 +104,8 @@ class LSTM:
 
     A state holds one ``(h, c, acts)`` per layer, ``acts`` being the
     :func:`lstm_cell` activations that produced ``(h, c)``.  ``step``
-    advances one time step on plain arrays, recording nothing; ``scan``
-    records a window of stepped states as one graph node per layer.
+    advances one time step on plain arrays; ``backward`` backprops a window
+    of stepped states layer by layer, top down, without a forward.
     """
 
     def __init__(self, rng, n_in: int, hidden: int = 50, layers: int = 2):
@@ -122,12 +122,13 @@ class LSTM:
             new_state.append((x, c, acts))
         return x, new_state
 
-    def scan(self, states, xs) -> Value:
-        """Top-layer hidden states ``[T, H]`` of the ``T + 1`` ``states`` that
-        ``step`` made from ``states[0]`` over inputs ``xs`` ``[T, in]``."""
-        for k, cell in enumerate(self.cells):
-            xs = lstm_scan([state[k] for state in states], xs, cell.wx, cell.wh, cell.b)
-        return xs
+    def backward(self, states, xs, dh) -> np.ndarray:
+        """Backprop ``dh`` ``[T, H]``, the adjoint of the top layer's ``h`` in the ``T + 1``
+        ``states`` ``step`` made over inputs ``xs`` ``[T, in]``; returns ``xs``' adjoint."""
+        for k, cell in reversed(list(enumerate(self.cells))):
+            ins = np.stack([state[k - 1][0] for state in states[1:]]) if k else xs
+            dh = lstm_backward([state[k] for state in states], ins, dh, cell.wx, cell.wh, cell.b)
+        return dh
 
     def params(self) -> list[Value]:
         return [p for cell in self.cells for p in cell.params()]

@@ -13,7 +13,8 @@ that the actor and critic read:
 * ``rnn`` - no machine knowledge at all; a stacked LSTM summarizes the
   observation history and the actor/critic read its hidden state.
 
-Updates run every ``N_STEP`` environment steps on n-step advantage targets.
+Updates run every ``N_STEP`` environment steps on n-step advantage targets
+and backprop on plain arrays, through both heads into the features.
 The A2C and grounding settings are the module constants below, the same for
 every run; a :class:`TrainConfig` names only the episode count and the seeds.
 Seeds are independent workers, and a fixed seed reproduces a run bitwise.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import diffkit as dk
 from .automata import MooreMachine
-from .diffkit import Adam, Value, _accum, clip_grad_norm, spawn_rngs
+from .diffkit import Adam, clip_grad_norm, spawn_rngs
 from .errors import InputError, NumericsError
 from .formulas import TASK_ALPHABET, TASK_FORMULAS, compile_formula
 from .gridworld import ACTIONS, DEFAULT_CONFIG, EpisodeTrace, GridConfig, GridWorld
@@ -70,17 +71,18 @@ def n_step_returns(rewards, bootstrap: float, gamma: float) -> np.ndarray:
     return out
 
 
-def a2c_losses(logits: Value, values: Value, actions, returns):
-    """Combined actor-critic loss as one graph node, plus its components (as floats).
+def a2c_losses(logits: np.ndarray, values: np.ndarray, actions, returns):
+    """Combined actor-critic loss of ``[T, A]`` logits and ``[T]`` values; returns
+    it, its grads over both and its components (as floats).
 
     Advantages are detached: the policy term moves only the actor, the
     squared error only the critic, and the entropy bonus keeps the policy
-    from collapsing.  The node repeats the expressions of the diffkit op
-    chain it replaces, in order, so its gradients are the same bits.
+    from collapsing.  The expressions are the diffkit op chain's, in order,
+    so the grads are its bits.  A non-finite loss raises NumericsError.
     """
     actions = np.asarray(actions, dtype=np.int64)
     returns = np.asarray(returns, dtype=np.float64)
-    z, v, inv_t = logits.data, values.data, 1.0 / values.data.size
+    z, v, inv_t = logits, values, 1.0 / values.size
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     e_sum = e.sum(axis=-1, keepdims=True)
@@ -94,21 +96,18 @@ def a2c_losses(logits: Value, values: Value, actions, returns):
     value_loss = (err * err).sum() * inv_t
     entropy = (probs * logp).sum(axis=-1).sum() * inv_t * -1.0
     total = policy_loss * COEF_ACTOR + value_loss * COEF_CRITIC + entropy * COEF_ENTROPY * -1.0
-    out = Value(total, (logits, values))
-
-    def backward():
-        g = out.grad
-        g_policy = g * COEF_ACTOR * -1.0 * inv_t
-        g_entropy = g * -1.0 * COEF_ENTROPY * -1.0 * inv_t
-        g_err = g * COEF_CRITIC * inv_t * err
-        g_probs = g_entropy * logp
-        g_logp = (g_policy * advantages)[:, None] * onehot + g_entropy * probs
-        _accum(logits, (g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True))
-               + probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)))
-        _accum(values, g_err + g_err)
-
-    out._backward = backward
-    return out, {"policy": float(policy_loss), "value": float(value_loss), "entropy": float(entropy)}
+    if not np.isfinite(total):
+        raise NumericsError("non-finite loss")
+    # the backward from d(total) = 1.0, whose products are exact
+    g_policy = COEF_ACTOR * -1.0 * inv_t
+    g_entropy = -1.0 * COEF_ENTROPY * -1.0 * inv_t
+    g_err = COEF_CRITIC * inv_t * err
+    g_probs = g_entropy * logp
+    g_logp = (g_policy * advantages)[:, None] * onehot + g_entropy * probs
+    g_logits = ((g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True))
+                + probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)))
+    parts = {"policy": float(policy_loss), "value": float(value_loss), "entropy": float(entropy)}
+    return float(total), g_logits, g_err + g_err, parts
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -138,13 +137,18 @@ class ActorCriticNets:
     def state_value(self, x: np.ndarray) -> float:
         return float(self.critic.forward_numpy(x)[0])
 
-    def update(self, batch: Value, actions, returns) -> dict:
-        """One A2C step on a ``[T, d]`` batch Value of features (``features.batch``)."""
-        logits = self.actor(batch)
-        values = dk.reshape(self.critic(batch), (batch.data.shape[0],))
-        total, parts = a2c_losses(logits, values, actions, returns)
+    def update(self, xs: np.ndarray, actions, returns, features) -> dict:
+        """One A2C step on a ``[T, d]`` batch of features; ``features.backward``
+        gets the batch's adjoint."""
+        hs_actor = dk.mlp_forward(xs, self.actor.layers, self.actor.acts)
+        hs_critic = dk.mlp_forward(xs, self.critic.layers, self.critic.acts)
+        _, g_logits, g_values, parts = a2c_losses(hs_actor[-1], hs_critic[-1].reshape(len(xs)),
+                                                  actions, returns)
         self.optimizer.zero_grad()
-        total.backward()
+        g = dk.mlp_backward(g_logits, hs_actor, self.actor.layers, self.actor.acts)
+        g += dk.mlp_backward(g_values.reshape(-1, 1), hs_critic, self.critic.layers,
+                             self.critic.acts)
+        features.backward(g)
         clip_grad_norm(self.optimizer.grad, GRAD_CLIP)
         self.optimizer.step()
         return parts
@@ -197,8 +201,8 @@ class _MachineFeatures:
         q = self.env.machine_state_onehot if self.tracker is None else self.tracker.step(obs)
         return augment_input(obs, q)
 
-    def batch(self, xs) -> Value:
-        return Value(np.stack(xs))
+    def backward(self, g):
+        pass
 
     def cut(self):
         pass
@@ -208,10 +212,10 @@ class _LSTMFeatures:
     """rnn: the hidden state of a stacked LSTM run over the observations.
 
     Acting steps the LSTM on plain arrays and keeps the states since the
-    last cut.  An update records the window's observations and those states
-    as one graph node per layer, so backprop is truncated at each update and
-    nothing runs forward twice.  After a cut the window's first row is the
-    detached ``h`` the last update bootstrapped from.
+    last cut.  An update backprops through the window's observations and
+    those states, so backprop is truncated at each update and nothing runs
+    forward twice.  After a cut the window's first row is the detached ``h``
+    the last update bootstrapped from.
     """
 
     dim = 50
@@ -232,13 +236,11 @@ class _LSTMFeatures:
         self.states.append(state)
         return h
 
-    def batch(self, xs) -> Value:
-        head, rest = xs[:self.head], xs[self.head:]
-        parts = [Value(np.stack(head))] if head else []
-        if rest:
-            t_len = len(rest)
-            parts.append(self.lstm.scan(self.states[:t_len + 1], np.stack(self.obs[:t_len])))
-        return dk.concat(parts)
+    def backward(self, g):
+        """Backprop the window's adjoint ``g`` into the LSTM, past the detached head row."""
+        t_len = len(g) - self.head
+        if t_len:
+            self.lstm.backward(self.states[:t_len + 1], np.stack(self.obs[:t_len]), g[self.head:])
 
     def cut(self):
         """Start a new window at the current state."""
@@ -267,10 +269,9 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
     """The A2C episode loop of every agent kind; returns per-episode returns.
 
     ``features`` turns observations into the arrays the nets read (``reset``,
-    ``step``), builds an update window's ``[T, d]`` batch Value from them
-    (``batch``), starts a new window after each update (``cut``) and has
-    ``params`` to train; ``end_episode(episode, steps, total)`` gets
-    (cell, class, reward) steps.
+    ``step``), backprops an update window's adjoint (``backward``), starts a
+    new window after each update (``cut``) and has ``params`` to train;
+    ``end_episode(episode, steps, total)`` gets (cell, class, reward) steps.
     """
     nets = ActorCriticNets(rng_weights, features.dim, len(ACTIONS), features.params)
     returns = []
@@ -289,7 +290,7 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
             x = features.step(obs)
             if len(xs) == N_STEP or done:
                 bootstrap = 0.0 if done else nets.state_value(x)
-                nets.update(features.batch(xs), acts, n_step_returns(rews, bootstrap, GAMMA))
+                nets.update(np.stack(xs), acts, n_step_returns(rews, bootstrap, GAMMA), features)
                 features.cut()
                 xs, acts, rews = [], [], []
         returns.append(total)

@@ -322,7 +322,7 @@ def step_states(net, state, xs) -> list:
 
 
 def chained_lstm_cell(cell, x: Value, state):
-    """One LSTM step recorded op by op: the graph ``dk.lstm_scan`` fuses."""
+    """One LSTM step recorded op by op: the reference for ``dk.lstm_backward``."""
     h, c = state
     gates = dk.reshape(dk.matmul(x, cell.wx) + dk.matmul(h, cell.wh) + cell.b, (4, cell.hidden))
     i = dk.sigmoid(dk.take(gates, 0))
@@ -334,7 +334,7 @@ def chained_lstm_cell(cell, x: Value, state):
 
 
 def chained_a2c_losses(logits: Value, values: Value, actions, returns):
-    """The A2C loss recorded op by op: the graph ``training.a2c_losses`` fuses."""
+    """The A2C loss recorded op by op: ``training.a2c_losses`` runs its expressions."""
     actions = np.asarray(actions, dtype=np.int64)
     returns = np.asarray(returns, dtype=np.float64)
     logp = dk.log_softmax(logits, axis=-1)

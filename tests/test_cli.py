@@ -254,6 +254,7 @@ class TestBadArguments:
     @pytest.mark.parametrize("argv, code, message", [
         (_TRAIN + " --seeds a", 1, "--seeds wants comma-separated integers, got 'a'"),
         (_TRAIN + " --seeds 0,,1", 1, "--seeds wants comma-separated integers, got '0,,1'"),
+        (_TRAIN + " --seeds=", 1, "--seeds wants comma-separated integers, got ''"),
         (_TRAIN + " --seeds=-1", 2, "none negative"),
         ("train --task 1 --agent rm --episodes 0 --out {tmp}/o", 2, "must all be positive"),
         ("train --task 1 --agent rm --episodes 1 --seeds 0 --out {tmp}/afile/o", 2,

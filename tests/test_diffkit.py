@@ -18,7 +18,7 @@ from rmkit.diffkit import (
     cross_entropy,
     dropout,
     log_softmax,
-    lstm_scan,
+    lstm_backward,
     matmul,
     mlp,
     mul,
@@ -217,7 +217,7 @@ class TestPmmScan:
             pmm_scan(np.ones((4, 3)), np.ones((4, 0, 2)), m)
 
 
-class TestLstmScan:
+class TestLstmBackward:
     @staticmethod
     def _net_and_state(layers, seed):
         rng = np.random.default_rng(seed)
@@ -232,35 +232,34 @@ class TestLstmScan:
     def test_gradcheck(self, layers, t_len):
         net, state = self._net_and_state(layers, 10 * layers + t_len)
         rng = np.random.default_rng(t_len)
-        xs = Value(rng.standard_normal((t_len, 3)))
+        xs = rng.standard_normal((t_len, 3))
         weights = rng.standard_normal((t_len, 4))
 
-        def loss():
-            # steps again at every perturbation, so the node is checked
-            # against the forward it records
-            return vsum(mul(net.scan(step_states(net, state, xs.data), xs), weights))
+        def loss(xs):
+            # steps again at every perturbation, so the backward is checked
+            # against the forward whose activations it reads
+            return (np.stack([s[-1][0] for s in step_states(net, state, xs)[1:]]) * weights).sum()
 
-        loss().backward()
-        for p in net.params() + [xs]:
+        dxs = net.backward(step_states(net, state, xs), xs, weights)
+        assert_grad_close(dxs, numeric_grad(loss, xs.copy()), rtol=1e-4)
+        for p in net.params():
             def f(arr, p=p):
                 saved = p.data
                 p.data = arr
-                out = loss().item()
+                out = loss(xs)
                 p.data = saved
                 return out
 
             assert_grad_close(p.grad, numeric_grad(f, p.data.copy()), rtol=1e-4)
 
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_matches_chained_cell_bitwise(self, layers):
+    def test_matches_chained_cell(self, layers):
         net, state = self._net_and_state(layers, 30 + layers)
         rng = np.random.default_rng(31)
         xs = rng.standard_normal((5, 3))
         weights = rng.standard_normal((5, 4))
-        scan_in = Value(xs.copy())
-        scanned = net.scan(step_states(net, state, xs), scan_in)
-        vsum(mul(scanned, weights)).backward()
-        scan_grads = [p.grad for p in net.params()] + [scan_in.grad]
+        dxs = net.backward(step_states(net, state, xs), xs, weights)
+        grads = [p.grad for p in net.params()] + [dxs]
         for p in net.params():
             p.grad = None
         chain_in = [Value(x.copy()) for x in xs]
@@ -271,24 +270,38 @@ class TestLstmScan:
                 states[k] = chained_lstm_cell(cell, x, states[k])
                 x = states[k][0]
             rows.append(x)
-        chained = stack(rows)
-        vsum(mul(chained, weights)).backward()
+        vsum(mul(stack(rows), weights)).backward()
         chain_grads = [p.grad for p in net.params()] + [np.stack([x.grad for x in chain_in])]
-        assert np.array_equal(scanned.data, chained.data)
-        # the scan sums each weight grad once per window, the chain once per
-        # step, so the grads agree up to summation order
-        for a, b in zip(scan_grads, chain_grads):
+        # the backward sums each weight grad once per window, the chain once
+        # per step, so the grads agree up to summation order
+        for a, b in zip(grads, chain_grads):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    def test_runs_no_cell(self, monkeypatch):
+        from rmkit import diffkit, networks
+
+        net, state = self._net_and_state(2, 40)
+        xs = np.random.default_rng(41).standard_normal((4, 3))
+        states = step_states(net, state, xs)
+        calls = []
+        cell = diffkit.lstm_cell
+        monkeypatch.setattr(networks, "lstm_cell", lambda *a: calls.append(1) or cell(*a))
+        monkeypatch.setattr(diffkit, "lstm_cell", lambda *a: calls.append(1) or cell(*a))
+        net.backward(states, xs, np.ones((4, 4)))
+        assert calls == []
 
     def test_shape_mismatch(self):
         net, state = self._net_and_state(1, 0)
         cell = net.cells[0]
         layer = [s[0] for s in step_states(net, state, np.zeros((2, 3)))]
-        for states, xs in ((layer, np.zeros((2, 2))), (layer, np.zeros(3)),
-                           (layer, np.zeros((1, 3))), (layer, np.zeros((3, 3))),
-                           (layer[:1], np.zeros((0, 3)))):
+        dh = np.zeros((2, 4))
+        for states, xs, g in ((layer, np.zeros((2, 2)), dh), (layer, np.zeros(3), dh),
+                              (layer, np.zeros((1, 3)), dh), (layer, np.zeros((3, 3)), dh),
+                              (layer[:1], np.zeros((0, 3)), dh[:0]),
+                              (layer, np.zeros((2, 3)), np.zeros(4)),
+                              (layer, np.zeros((2, 3)), np.zeros((3, 4)))):
             with pytest.raises(InputError):
-                lstm_scan(states, xs, cell.wx, cell.wh, cell.b)
+                lstm_backward(states, xs, g, cell.wx, cell.wh, cell.b)
 
 
 class TestGatherRows:

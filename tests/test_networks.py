@@ -1,7 +1,7 @@
 import numpy as np
 
 from helpers import assert_grad_close, assign_params, load_params, numeric_grad, step_states
-from rmkit.diffkit import Value, cross_entropy, softmax, vsum, mul
+from rmkit.diffkit import Value, cross_entropy, softmax
 from rmkit.networks import LSTM, MLP, Grounder, OneHotGrounder, augment_input, save_params
 
 
@@ -89,62 +89,21 @@ class TestLstm:
         xs = rng.standard_normal((3, 2))
 
         def loss_value():
-            # steps again at every perturbation, so the scan is checked
-            # against the forward it records
-            return vsum(mul(net.scan(step_states(net, net.zero_state(), xs), xs), 0.3))
+            # steps again at every perturbation, so the backward is checked
+            # against the forward whose activations it reads
+            states = step_states(net, net.zero_state(), xs)
+            return 0.3 * sum(state[-1][0].sum() for state in states[1:])
 
-        loss = loss_value()
-        loss.backward()
+        net.backward(step_states(net, net.zero_state(), xs), xs, np.full((3, 4), 0.3))
         for p in net.params():
             def f(arr, p=p):
                 saved = p.data
                 p.data = arr
-                out = loss_value().item()
+                out = loss_value()
                 p.data = saved
                 return out
 
             assert_grad_close(p.grad, numeric_grad(f, p.data.copy()), rtol=1e-4)
-
-    def test_scan_reruns_the_steps_bitwise(self):
-        rng = np.random.default_rng(9)
-        net = LSTM(rng, 2, hidden=4, layers=2)
-        xs = rng.standard_normal((6, 2))
-        state = net.zero_state()
-        for x in xs[:2]:
-            _, state = net.step(x, state)
-        rows, states = [], [state]
-        for x in xs[2:]:
-            h, stepped = net.step(x, states[-1])
-            rows.append(h)
-            states.append(stepped)
-        scanned = net.scan(states, xs[2:])
-        assert isinstance(h, np.ndarray)
-        assert np.array_equal(scanned.data, np.stack(rows))
-        assert all(p.grad is None for p in net.params())
-
-    def test_scan_and_batch_run_no_cell(self, monkeypatch):
-        from rmkit import diffkit, networks
-        from rmkit.training import _LSTMFeatures
-
-        calls = []
-        cell = diffkit.lstm_cell
-
-        def counting_cell(*args):
-            calls.append(1)
-            return cell(*args)
-
-        monkeypatch.setattr(networks, "lstm_cell", counting_cell)
-        monkeypatch.setattr(diffkit, "lstm_cell", counting_cell)
-        rng = np.random.default_rng(10)
-        features = _LSTMFeatures(np.random.default_rng(11))
-        xs = [features.reset(rng.random(2))] + [features.step(rng.random(2)) for _ in range(4)]
-        assert len(calls) == 2 * 5  # one call per layer per step
-        obs = rng.random((3, 2))
-        states = step_states(features.lstm, features.lstm.zero_state(), obs)
-        calls.clear()
-        vsum(mul(features.batch(xs[:4]), 0.5)).backward()
-        vsum(features.lstm.scan(states, obs)).backward()
-        assert calls == []
 
 
 class TestAugment:

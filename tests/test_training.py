@@ -131,15 +131,13 @@ class TestA2cPieces:
 
     def test_zero_advantage_zeroes_policy_term(self):
         rng = np.random.default_rng(1)
-        logits = Value(rng.standard_normal((4, 3)))
-        values = Value(np.array([1.0, 2.0, 3.0, 4.0]))
-        _, parts = a2c_losses(logits, values, [0, 1, 2, 0], values.data.copy())
+        logits = rng.standard_normal((4, 3))
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        parts = a2c_losses(logits, values, [0, 1, 2, 0], values.copy())[3]
         assert abs(parts["policy"]) < 1e-12
 
     def test_entropy_of_uniform_policy(self):
-        logits = Value(np.zeros((2, 4)))
-        values = Value(np.zeros(2))
-        _, parts = a2c_losses(logits, values, [0, 1], [0.0, 0.0])
+        parts = a2c_losses(np.zeros((2, 4)), np.zeros(2), [0, 1], [0.0, 0.0])[3]
         assert np.isclose(parts["entropy"], np.log(4.0))
 
     @pytest.mark.parametrize("t_len", [1, 2, 3, 5])
@@ -148,31 +146,34 @@ class TestA2cPieces:
         for _ in range(20):
             arrays = (rng.standard_normal((t_len, 4)) * 3, rng.standard_normal(t_len))
             actions, returns = rng.integers(0, 4, size=t_len), rng.standard_normal(t_len)
-            fused_leaves = [Value(a.copy()) for a in arrays]
-            fused, fused_parts = a2c_losses(*fused_leaves, actions, returns)
-            fused.backward()
+            total, g_logits, g_values, parts = a2c_losses(*arrays, actions, returns)
             chain_leaves = [Value(a.copy()) for a in arrays]
             chained, chain_parts = chained_a2c_losses(*chain_leaves, actions, returns)
             chained.backward()
-            assert np.array_equal(fused.data, chained.data)
-            assert fused_parts == chain_parts
-            for a, c in zip(fused_leaves, chain_leaves):
-                assert np.array_equal(a.grad, c.grad)
+            assert total == chained.item()
+            assert parts == chain_parts
+            assert np.array_equal(g_logits, chain_leaves[0].grad)
+            assert np.array_equal(g_values, chain_leaves[1].grad)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(3)
-        logits, values = Value(rng.standard_normal((5, 4))), Value(rng.standard_normal(5))
+        logits, values = rng.standard_normal((5, 4)), rng.standard_normal(5)
         actions, returns = [0, 3, 1, 1, 2], rng.standard_normal(5)
-        a2c_losses(logits, values, actions, returns)[0].backward()
+        _, g_logits, g_values, _ = a2c_losses(logits, values, actions, returns)
 
         def total(arr):
-            return a2c_losses(Value(arr), values, actions, returns)[0].item()
+            return a2c_losses(arr, values, actions, returns)[0]
 
         def critic_term(arr):  # advantages are detached: only this term reaches values
-            return COEF_CRITIC * a2c_losses(logits, Value(arr), actions, returns)[1]["value"]
+            return COEF_CRITIC * a2c_losses(logits, arr, actions, returns)[3]["value"]
 
-        assert_grad_close(logits.grad, numeric_grad(total, logits.data.copy()), rtol=1e-4)
-        assert_grad_close(values.grad, numeric_grad(critic_term, values.data.copy()), rtol=1e-4)
+        assert_grad_close(g_logits, numeric_grad(total, logits.copy()), rtol=1e-4)
+        assert_grad_close(g_values, numeric_grad(critic_term, values.copy()), rtol=1e-4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_raises(self, bad):
+        with pytest.raises(NumericsError):
+            a2c_losses(np.zeros((2, 4)), np.zeros(2), [0, 1], [0.0, bad])
 
     def test_value_loss_decreases_on_fixed_target(self):
         rng = np.random.default_rng(2)
@@ -180,9 +181,42 @@ class TestA2cPieces:
         batch = np.tile([0.1, 0.2, 0.3, 0.4], (5, 1))
         losses = []
         for _ in range(50):
-            parts = nets.update(Value(batch), [0] * 5, [10.0] * 5)
+            parts = nets.update(batch, [0] * 5, [10.0] * 5, _NoFeatures())
             losses.append(parts["value"])
         assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_return_raises_before_adam_moves(self, bad):
+        nets = ActorCriticNets(np.random.default_rng(4), 4, 3)
+        batch = np.random.default_rng(5).standard_normal((3, 4))
+        nets.update(batch, [0, 1, 2], [1.0, 2.0, 3.0], _NoFeatures())
+        before = [a.copy() for a in (nets.optimizer.data, nets.optimizer.m, nets.optimizer.v)]
+        with pytest.raises(NumericsError):
+            nets.update(batch, [0, 1, 2], [1.0, bad, 3.0], _NoFeatures())
+        assert nets.optimizer.step_count == 1
+        after = (nets.optimizer.data, nets.optimizer.m, nets.optimizer.v)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_head_row_alone_leaves_lstm_grads_zero(self):
+        from rmkit.training import _LSTMFeatures
+
+        rng = np.random.default_rng(7)
+        features = _LSTMFeatures(np.random.default_rng(8))
+        nets = ActorCriticNets(np.random.default_rng(9), features.dim, 4, features.params)
+        xs = [features.reset(rng.random(2))] + [features.step(rng.random(2)) for _ in range(2)]
+        nets.update(np.stack(xs[:2]), [1, 3], [2.0, 1.0], features)  # from the zero state
+        assert all(p.grad.any() for p in features.params)
+        features.cut()
+        nets.update(np.stack(xs[2:]), [1], [2.0], features)  # the detached head row only
+        assert not any(p.grad.any() for p in features.params)
+        assert all(p.grad.any() for p in nets.actor.params())
+
+
+class _NoFeatures:
+    """Features with no parameters: the batch adjoint goes nowhere."""
+
+    def backward(self, g):
+        pass
 
 
 class TestGrounderBuffer:
@@ -251,54 +285,42 @@ class TestRuns:
         assert a == b
 
     @pytest.mark.parametrize("kind", ["rm", "nrm", "rnn"])
-    def test_every_update_goes_through_actor_critic_update(self, kind, monkeypatch):
+    def test_one_graph_free_update_per_window(self, kind, monkeypatch):
         from rmkit import networks, training
 
-        counts = {"backward": 0, "in_update": 0, "update": 0}
+        counts = {"backward": 0, "update": 0, "windows": 0}
         seen = {}
         backward, update, lstm_step = Value.backward, ActorCriticNets.update, networks.LSTM.step
+        env_step = training.GridWorld.step
 
         def counting_backward(self):
             counts["backward"] += 1
             return backward(self)
 
-        def counting_update(self, xs, actions, returns):
+        def counting_update(self, xs, actions, returns, features):
             seen["nets"] = self
-            before = counts["backward"]
-            parts = update(self, xs, actions, returns)
             counts["update"] += 1
-            counts["in_update"] += counts["backward"] - before
-            return parts
+            return update(self, xs, actions, returns, features)
 
         def recording_step(self, x, state):
             seen["lstm"] = self
             return lstm_step(self, x, state)
 
+        def counting_env_step(self, action):
+            out = env_step(self, action)
+            counts["windows"] += bool(out[3] or self.t % training.N_STEP == 0)
+            return out
+
         monkeypatch.setattr(Value, "backward", counting_backward)
         monkeypatch.setattr(training.ActorCriticNets, "update", counting_update)
         monkeypatch.setattr(networks.LSTM, "step", recording_step)
+        monkeypatch.setattr(training.GridWorld, "step", counting_env_step)
         run_single(1, kind, TrainConfig(episodes=3, seeds=(0,)), DEFAULT_CONFIG, seed=0)
-        assert counts["update"] > 0
-        assert counts["backward"] == counts["in_update"] == counts["update"]
+        assert counts["backward"] == 0
+        assert counts["update"] == counts["windows"] > 0
         if kind == "rnn":
             held = {id(p) for p in seen["nets"].optimizer.params}
             assert all(id(p) in held for p in seen["lstm"].params())
-
-    def test_rnn_batch_reruns_the_acted_rows(self):
-        from rmkit.training import _LSTMFeatures
-
-        rng = np.random.default_rng(5)
-        features = _LSTMFeatures(np.random.default_rng(6))
-        acted = [features.reset(rng.random(2))] + [features.step(rng.random(2)) for _ in range(3)]
-        first = features.batch(acted[:3])  # the first window runs from the zero state
-        assert np.array_equal(first.data, np.stack(acted[:3]))
-        features.cut()
-        assert np.array_equal(features.batch(acted[3:]).data, acted[3:])  # head row only
-        acted = acted[3:] + [features.step(rng.random(2)) for _ in range(4)]
-        batch = features.batch(acted[:4])
-        assert np.array_equal(batch.data, np.stack(acted[:4]))
-        # the detached head row, then the rerun window as one node
-        assert len(batch._parents) == 2 and batch._parents[0]._parents == ()
 
     def test_unknown_agent(self):
         with pytest.raises(InputError):
