@@ -140,14 +140,13 @@ class ActorCriticNets:
     def update(self, xs: np.ndarray, actions, returns, features) -> dict:
         """One A2C step on a ``[T, d]`` batch of features; ``features.backward``
         gets the batch's adjoint."""
-        hs_actor = dk.mlp_forward(xs, self.actor.layers, self.actor.acts)
-        hs_critic = dk.mlp_forward(xs, self.critic.layers, self.critic.acts)
-        _, g_logits, g_values, parts = a2c_losses(hs_actor[-1], hs_critic[-1].reshape(len(xs)),
-                                                  actions, returns)
+        actor, critic = self.actor, self.critic
+        hs_a = dk.mlp_forward(xs, actor.layers, actor.acts)
+        hs_c = dk.mlp_forward(xs, critic.layers, critic.acts)
+        _, g_logits, g_values, parts = a2c_losses(hs_a[-1], hs_c[-1][:, 0], actions, returns)
         self.optimizer.zero_grad()
-        g = dk.mlp_backward(g_logits, hs_actor, self.actor.layers, self.actor.acts)
-        g += dk.mlp_backward(g_values.reshape(-1, 1), hs_critic, self.critic.layers,
-                             self.critic.acts)
+        g = dk.mlp_backward(g_logits, hs_a, actor.layers, actor.acts)
+        g += dk.mlp_backward(g_values[:, None], hs_c, critic.layers, critic.acts)
         features.backward(g)
         clip_grad_norm(self.optimizer.grad, GRAD_CLIP)
         self.optimizer.step()
