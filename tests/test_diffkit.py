@@ -258,7 +258,8 @@ class TestLstmBackward:
         rng = np.random.default_rng(31)
         xs = rng.standard_normal((5, 3))
         weights = rng.standard_normal((5, 4))
-        dxs = net.backward(step_states(net, state, xs), xs, weights)
+        stepped = step_states(net, state, xs)
+        dxs = net.backward(stepped, xs, weights)
         grads = [p.grad for p in net.params()] + [dxs]
         for p in net.params():
             p.grad = None
@@ -270,8 +271,11 @@ class TestLstmBackward:
                 states[k] = chained_lstm_cell(cell, x, states[k])
                 x = states[k][0]
             rows.append(x)
-        vsum(mul(stack(rows), weights)).backward()
+        chained = stack(rows)
+        vsum(mul(chained, weights)).backward()
         chain_grads = [p.grad for p in net.params()] + [np.stack([x.grad for x in chain_in])]
+        # the acting steps the backward reads run the chained cell's forward bit for bit
+        assert np.array_equal(np.stack([s[-1][0] for s in stepped[1:]]), chained.data)
         # the backward sums each weight grad once per window, the chain once
         # per step, so the grads agree up to summation order
         for a, b in zip(grads, chain_grads):
@@ -279,15 +283,20 @@ class TestLstmBackward:
 
     def test_runs_no_cell(self, monkeypatch):
         from rmkit import diffkit, networks
+        from rmkit.training import _LSTMFeatures
 
-        net, state = self._net_and_state(2, 40)
-        xs = np.random.default_rng(41).standard_normal((4, 3))
-        states = step_states(net, state, xs)
         calls = []
         cell = diffkit.lstm_cell
         monkeypatch.setattr(networks, "lstm_cell", lambda *a: calls.append(1) or cell(*a))
         monkeypatch.setattr(diffkit, "lstm_cell", lambda *a: calls.append(1) or cell(*a))
-        net.backward(states, xs, np.ones((4, 4)))
+        rng = np.random.default_rng(41)
+        features = _LSTMFeatures(np.random.default_rng(42))
+        features.reset(rng.random(2))
+        for _ in range(4):
+            features.step(rng.random(2))
+        assert len(calls) == 2 * 5  # acting: one call per layer per step
+        calls.clear()
+        features.backward(np.ones((5, features.dim)))
         assert calls == []
 
     def test_shape_mismatch(self):
