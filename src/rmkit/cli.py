@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from . import automata, gridworld, nrm, plotting, shortcuts, training
-from .config import parse_experiment_config
 from .errors import InputError, MachineFormatError, NumericsError, SpecificationError, UsageError
 from .formulas import TASK_ALPHABET, compile_formula
 from .networks import Grounder, save_params
@@ -61,12 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ground.add_argument("--out", required=True, help="checkpoint path (.npz)")
 
     p_train = sub.add_parser("train", help="run A2C training for one agent kind")
-    p_train.add_argument("--task", help="task id 1..8 or formula text")
-    p_train.add_argument("--agent", choices=training.AGENT_KINDS)
-    p_train.add_argument("--config", help="experiment config file")
-    p_train.add_argument("--episodes", type=int)
-    p_train.add_argument("--seeds", help="comma-separated seeds")
-    p_train.add_argument("--map", help="grid map file")
+    p_train.add_argument("--task", required=True, help="task id 1..8 or formula text")
+    p_train.add_argument("--agent", required=True, choices=training.AGENT_KINDS)
+    p_train.add_argument("--episodes", type=int,
+                         help=f"episodes per seed (default {training.TrainConfig.episodes})")
+    p_train.add_argument("--seeds", help="comma-separated seeds (default "
+                         + ",".join(map(str, training.TrainConfig.seeds)) + ")")
+    p_train.add_argument("--map", help="grid map file (defaults to the standard grid)")
     p_train.add_argument("--jobs", type=int, default=1)
     p_train.add_argument("--out", required=True, help="output directory")
 
@@ -211,15 +211,6 @@ def cmd_train(args) -> int:
     task, agent = args.task, args.agent
     train_cfg = training.TrainConfig()
     grid = _load_grid(args)
-    if args.config:
-        parsed = parse_experiment_config(_read(args.config))
-        task = task or parsed["task"]
-        agent = agent or parsed["agent"]
-        train_cfg = parsed["train"]
-        if not args.map:
-            grid = parsed["grid"]
-    if not task or not agent:
-        raise UsageError("train needs --task and --agent (flags or config file)")
     if args.episodes is not None:
         train_cfg = dataclasses.replace(train_cfg, episodes=args.episodes)
     if args.seeds is not None:
@@ -228,7 +219,8 @@ def cmd_train(args) -> int:
         except ValueError:
             raise UsageError(f"--seeds wants comma-separated integers, got {args.seeds!r}") from None
         train_cfg = dataclasses.replace(train_cfg, seeds=seeds)
-    training.resolve_task(task)  # a task that does not compile leaves no --out behind
+    # a task that does not compile, or does not fit the grid, leaves no --out behind
+    gridworld.GridWorld(grid, training.resolve_task(task)[1])
     with _file_errors(args.out, "write"):
         os.makedirs(args.out, exist_ok=True)  # fails before training, not after it
         result = training.run_experiment(task, agent, train_cfg, grid, out_dir=args.out,

@@ -8,6 +8,8 @@ timestamps.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .errors import InputError
@@ -104,7 +106,7 @@ def svg_curves(groups, title: str = "", window: int = 100) -> str:
     )
     if title:
         parts.append(
-            f'<text x="{WIDTH // 2}" y="18" font-size="13" text-anchor="middle">{title}</text>'
+            f'<text x="{WIDTH // 2}" y="18" font-size="13" text-anchor="middle">{escape(title)}</text>'
         )
     for gi, (label, mean, lo, hi) in enumerate(prepared):
         color = COLORS[gi % len(COLORS)]
@@ -120,6 +122,6 @@ def svg_curves(groups, title: str = "", window: int = 100) -> str:
             f'<line x1="{WIDTH - 150}" y1="{ly - 4}" x2="{WIDTH - 126}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.6"/>'
         )
-        parts.append(f'<text x="{WIDTH - 120}" y="{ly}" font-size="11">{label}</text>')
+        parts.append(f'<text x="{WIDTH - 120}" y="{ly}" font-size="11">{escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rmkit import diffkit as dk
 from rmkit import shortcuts
 from rmkit.automata import ACCEPTOR_CLASSES, MooreMachine, minimize, run_string, shape_rewards
-from rmkit.config import CONFIG_HEADER
 from rmkit.diffkit import Value, _accum
 from rmkit.errors import MachineFormatError, UnsupportedConstructError
 from rmkit.formulas import (
@@ -28,7 +27,7 @@ from rmkit.formulas import (
 from rmkit.gridworld import GridConfig
 from rmkit.networks import CKPT_VERSION, OneHotGrounder
 from rmkit.nrm import ProbTraces, forward
-from rmkit.training import COEF_ACTOR, COEF_CRITIC, COEF_ENTROPY, TrainConfig
+from rmkit.training import COEF_ACTOR, COEF_CRITIC, COEF_ENTROPY
 
 # published shortcut counts for the eight tasks, identity included
 TASK_URS_COUNTS = {1: 54, 2: 24, 3: 27, 4: 4, 5: 8, 6: 8, 7: 4, 8: 4}
@@ -224,28 +223,6 @@ def reconstruct_reward_classes(scalar_rewards, machine: MooreMachine) -> np.ndar
     cumulative = np.cumsum(np.asarray(scalar_rewards, dtype=np.float64))
     recovered = np.rint(cumulative / scale + pot_start).astype(np.int64)
     return np.array([level_index[int(lv)] for lv in recovered], dtype=np.int64)
-
-
-def format_experiment_config(task, agent, train: TrainConfig, grid: GridConfig) -> str:
-    """Inverse of :func:`parse_experiment_config`: every key it accepts."""
-    lines = [CONFIG_HEADER]
-    if task is not None:
-        lines.append(f"task = {task}")
-    if agent is not None:
-        lines.append(f"agent = {agent}")
-    items = " ".join(f"{sym}@{x},{y}" for (x, y), sym in grid.items)
-    lines += [
-        "[train]",
-        f"episodes = {train.episodes}",
-        "seeds = " + ",".join(str(s) for s in train.seeds),
-        "[grid]",
-        f"width = {grid.width}",
-        f"height = {grid.height}",
-        f"t_max = {grid.t_max}",
-        f"start = {grid.start[0]},{grid.start[1]}",
-        f"items = {items}",
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

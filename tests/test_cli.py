@@ -1,5 +1,6 @@
 import re
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -7,14 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import format_experiment_config, grid_configs, load_params, machines
+from helpers import grid_configs, load_params, machines
 from rmkit import automata, gridworld
 from rmkit.cli import main
-from rmkit.config import parse_experiment_config
-from rmkit.errors import MachineFormatError
 from rmkit.formulas import compile_formula
 from rmkit.gridworld import DEFAULT_CONFIG, synth_dataset, traces_to_csv
-from rmkit.training import TrainConfig
 
 
 @pytest.fixture
@@ -22,6 +20,11 @@ def task1_machine_file(tmp_path, task_machines):
     path = tmp_path / "task1.mm"
     path.write_text(automata.serialize(task_machines[1]))
     return path
+
+
+def _svg_texts(path) -> list[str]:
+    """The text of every <text> element of an SVG file, which must parse as XML."""
+    return [el.text for el in ET.parse(path).iter("{http://www.w3.org/2000/svg}text")]
 
 
 class TestCompile:
@@ -185,48 +188,15 @@ class TestTrain:
         assert (out1 / "1_rm_summary.csv").exists()
         assert (out1 / "1_rm_curve.svg").read_text().startswith("<svg")
 
-    def test_config_file_drives_run(self, tmp_path):
-        cfg_text = format_experiment_config("F(a)", "rm",
-                                            TrainConfig(episodes=10, seeds=(0,)),
-                                            gridworld.GridConfig())
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(cfg_text)
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-
     def test_missing_task_is_usage_error(self, tmp_path):
         assert main(["train", "--agent", "rm", "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("body, message", [
-        ("[train]\nepisodes = abc", "bad value for 'episodes': 'abc'"),
-        ("[train]\nseeds =", "bad value for 'seeds': ''"),
-        ("[train]\nseeds = 0,x", "bad value for 'seeds': 'x'"),
-        ("[grid]\nstart = 1", "bad value for 'start': '1'"),
-        ("[grid]\nstart = 1,2,3", "bad value for 'start': '1,2,3'"),
-        ("[grid]\nwidth = 2.5", "bad value for 'width': '2.5'"),
-        ("[train]\nepisodes = 2\n[grid]\nt_max = 0", "t_max must be at least 1"),
-        ("[train]\nepisodes = 2\n[grid]\nt_max = -1", "t_max must be at least 1"),
-    ])
-    def test_bad_config_numbers_are_data_errors(self, tmp_path, capsys, body, message):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"experiment v1\ntask = 1\nagent = rm\n{body}\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("section, key", [
-        *(("train", key) for key in (
-            "n_step", "lr", "coef_actor", "coef_critic", "coef_entropy", "grounder_period",
-            "grounder_epochs", "gamma", "window", "grad_clip", "buffer_recent", "buffer_elite",
-            "grounder_hidden", "grounder_lr")),
-        ("grid", "alphabet"),
-        ("grid", "empty_symbol"),
-    ])
-    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, section, key):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"experiment v1\ntask = 1\nagent = rm\n[{section}]\n{key} = 1\n")
-        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert f"unknown [{section}] key {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    def test_formula_title_is_escaped_in_the_svg(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["train", "--task", "F(a) & F(b)", "--agent", "rm", "--seeds", "0",
+                     "--episodes", "2", "--out", str(out)]) == 0
+        (svg,) = out.glob("*_curve.svg")
+        assert "F(a) & F(b)" in _svg_texts(svg)
 
 
 class TestBadArguments:
@@ -238,7 +208,11 @@ class TestBadArguments:
         traces.write_text(traces_to_csv(synth_dataset(DEFAULT_CONFIG, task_machines[1], n=2)))
         (tmp_path / "afile").write_text("")
         (tmp_path / "latin1").write_bytes(b"mooremachine v1\n\xff\n")
-        (tmp_path / "huge.cfg").write_text("experiment v1\n[grid]\nwidth = 60000\nheight = 60000\n")
+        (tmp_path / "huge.map").write_text("gridmap v1\nS" + "." * 1024 + "\n"
+                                           + ("." * 1025 + "\n") * 1023)
+        no_b = [item for item in DEFAULT_CONFIG.items if item[1] != "b"]
+        (tmp_path / "noB.map").write_text(
+            gridworld.write_map(gridworld.GridConfig(items=tuple(no_b))))
         for name, row in (("abc", "0,abc"), ("short", "0"), ("nan", "0,nan"), ("ep", "x,1.0")):
             (tmp_path / f"{name}.csv").write_text(f"episode,return\n0,1.0\n\n{row}\n")
         for name, steps in (("gap", ((0, 0), (0, 1), (0, 5))), ("neg", ((0, 0), (1, 3), (1, -2)))):
@@ -293,13 +267,20 @@ class TestBadArguments:
         ("train --task " + "F(" * 500 + "a" + ")" * 500 + " --agent rm --episodes 1 --out {tmp}/o",
          2, "nested more than 100 deep"),
         ("train --task 9 --agent rm --episodes 1 --out {tmp}/o", 2, "task id must be 1..8, got 9"),
+        ("train --task 1 --episodes 1 --out {tmp}/o", 1,
+         "the following arguments are required: --agent"),
         ("urs --machine {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
         ("ground --machine {mm} --traces {tmp}/latin1 --out {tmp}/o", 2,
          "cannot read {tmp}/latin1: not UTF-8 text"),
         ("ground --machine {mm} --traces {traces} --map {tmp}/latin1 --out {tmp}/o", 2,
          "cannot read {tmp}/latin1: not UTF-8 text"),
-        ("train --config {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
-        ("train --config {tmp}/huge.cfg --out {tmp}/o", 2, "grid 60000x60000 has over 1048576 cells"),
+        (_TRAIN + " --map {tmp}/latin1", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
+        (_TRAIN + " --map {tmp}/huge.map", 2, "grid 1025x1024 has over 1048576 cells"),
+        (_TRAIN + " --map {tmp}/noB.map", 2, "task-relevant symbols ['b'] not placed on the grid"),
+        (_TRAIN + " --map {tmp}/noB.map --seeds 0,1 --jobs 2", 2,
+         "task-relevant symbols ['b'] not placed on the grid"),
+        ("train --task G(!a) --agent rm --episodes 1 --out {tmp}/o", 2,
+         "start state already sits on the top potential level"),
         ("plot {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
     ])
     def test_exits_with_a_message(self, files, capsys, argv, code, message):
@@ -375,74 +356,18 @@ class TestPlot:
         # the ramp from 0 to 100 spans the frame, pinned to exact pixel coords
         assert 'points="56.00,344.91 340.00,194.00 624.00,43.09"' in out1.read_text()
 
-
-class TestExperimentConfig:
-    def test_round_trip(self):
-        train = TrainConfig(episodes=500, seeds=(3, 4))
-        grid = gridworld.GridConfig(t_max=40)
-        text = format_experiment_config(2, "nrm", train, grid)
-        parsed = parse_experiment_config(text)
-        assert parsed["task"] == "2"
-        assert parsed["agent"] == "nrm"
-        assert parsed["train"] == train
-        assert parsed["grid"] == grid
-
-    def test_missing_header(self):
-        with pytest.raises(MachineFormatError):
-            parse_experiment_config("task = 1\n")
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(MachineFormatError):
-            parse_experiment_config("experiment v1\n[train]\nepisoods = 10\n")
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(MachineFormatError):
-            parse_experiment_config("experiment v1\n[misc]\nx = 1\n")
-
-    def test_duplicate_key_rejected(self):
-        with pytest.raises(MachineFormatError):
-            parse_experiment_config("experiment v1\ntask = 1\ntask = 2\n")
-
-    def test_comments_ignored(self):
-        parsed = parse_experiment_config("experiment v1\n# a comment\ntask = 3\n")
-        assert parsed["task"] == "3"
+    def test_title_is_escaped(self, tmp_path):
+        csv = tmp_path / "r.csv"
+        csv.write_text("episode,return\n0,0.0\n1,50.0\n")
+        out = tmp_path / "p.svg"
+        assert main(["plot", str(csv), "--title", "<a & b>", "--out", str(out)]) == 0
+        assert "<a & b>" in _svg_texts(out)
 
 
-# Fuzzing: any text in a config or trace file gives exit 0, 1 or 2, never a traceback.
+# Fuzzing: any text in a trace file gives exit 0, 1 or 2, never a traceback.
 # Values are mostly well formed, so that examples get past the first check.
 _bad_tokens = st.sampled_from(["", "abc", "nan", "inf", "1.5", "1,2,3", "x@1,1"])
 _small_ints = st.integers(-1, 6).map(str)
-_config_value = st.one_of(_small_ints, _small_ints, _bad_tokens)
-_train_value = st.one_of(_config_value, st.sampled_from(["0.5", "1e-3", "0.99", "true"]))
-_grid_value = st.one_of(_config_value, st.sampled_from(["1,1", "0,0", "2,4", "a@2,0 b@4,1",
-                                                        "a@9,9", "a@1,1 a@1,1", "a,b,e", "e"]))
-_train_keys = st.sampled_from(["episodes", "seeds", "n_step", "lr", "gamma", "window",
-                               "grounder_period", "grounder_epochs", "grounder_hidden",
-                               "buffer_recent", "buffer_elite", "bogus"])
-_grid_keys = st.sampled_from(["width", "height", "start", "items", "t_max", "alphabet",
-                              "empty_symbol", "bogus"])
-
-
-def _section(name, entries):
-    return [f"[{name}]"] + [f"{k} = {v}" for k, v in entries.items()] if entries else []
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(task=st.sampled_from(["1", "4", "9", "F(a)", "G(a)", "F(", ""]),
-       agent=st.sampled_from(["rm", "nrm", "rnn", "dqn", ""]),
-       train=st.dictionaries(_train_keys, _train_value, max_size=4),
-       grid=st.dictionaries(_grid_keys, _grid_value, max_size=3),
-       junk=st.sampled_from(["", "# comment", "no equals", "[misc]", "task = 2"]))
-def test_fuzz_experiment_config(task, agent, train, grid, junk):
-    lines = ["experiment v1", f"task = {task}", f"agent = {agent}", junk,
-             *_section("train", train), *_section("grid", grid)]
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "exp.cfg"
-        cfg.write_text("\n".join(lines) + "\n")
-        code = main(["train", "--config", str(cfg), "--episodes", "1", "--seeds", "0",
-                     "--out", str(Path(tmp) / "out")])
-        assert code in (0, 1, 2)
-
 
 _trace_row = st.tuples(
     st.integers(0, 2), st.integers(-1, 4), st.integers(-1, 5), st.integers(-1, 5),
