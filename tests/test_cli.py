@@ -191,6 +191,18 @@ class TestTrain:
     def test_missing_task_is_usage_error(self, tmp_path):
         assert main(["train", "--agent", "rm", "--out", str(tmp_path / "o")]) == 1
 
+    # the A2C and grounding constants, the grid's alphabet and t_max are not settable
+    # from the command line, and the experiment config file is gone
+    @pytest.mark.parametrize("key", [
+        "n_step", "lr", "coef_actor", "coef_critic", "coef_entropy", "grounder_period",
+        "grounder_epochs", "gamma", "window", "grad_clip", "buffer_recent", "buffer_elite",
+        "grounder_hidden", "grounder_lr", "alphabet", "empty_symbol", "t_max", "config"])
+    def test_settings_outside_the_flags_are_usage_errors(self, tmp_path, capsys, key):
+        assert main(["train", "--task", "1", "--agent", "rm", "--episodes", "1",
+                     f"--{key}", "1", "--out", str(tmp_path / "o")]) == 1
+        assert f"unrecognized arguments: --{key} 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_formula_title_is_escaped_in_the_svg(self, tmp_path):
         out = tmp_path / "r"
         assert main(["train", "--task", "F(a) & F(b)", "--agent", "rm", "--seeds", "0",
@@ -210,6 +222,8 @@ class TestBadArguments:
         (tmp_path / "latin1").write_bytes(b"mooremachine v1\n\xff\n")
         (tmp_path / "huge.map").write_text("gridmap v1\nS" + "." * 1024 + "\n"
                                            + ("." * 1025 + "\n") * 1023)
+        for name, rows in (("two", "S..\n..S"), ("nostart", "...\n..."), ("ragged", "S..\n..")):
+            (tmp_path / f"{name}.map").write_text(f"gridmap v1\n{rows}\n")
         no_b = [item for item in DEFAULT_CONFIG.items if item[1] != "b"]
         (tmp_path / "noB.map").write_text(
             gridworld.write_map(gridworld.GridConfig(items=tuple(no_b))))
@@ -231,6 +245,14 @@ class TestBadArguments:
         (_TRAIN + " --seeds=", 1, "--seeds wants comma-separated integers, got ''"),
         (_TRAIN + " --seeds=-1", 2, "none negative"),
         ("train --task 1 --agent rm --episodes 0 --out {tmp}/o", 2, "must all be positive"),
+        ("train --task 1 --agent rm --episodes=-1 --out {tmp}/o", 2,
+         "must all be positive, got episodes = -1"),
+        ("train --task 1 --agent rm --episodes abc --out {tmp}/o", 1,
+         "argument --episodes: invalid int value: 'abc'"),
+        ("train --task 1 --agent rm --episodes 2.5 --out {tmp}/o", 1,
+         "argument --episodes: invalid int value: '2.5'"),
+        (_TRAIN + " --seeds 0,x", 1, "--seeds wants comma-separated integers, got '0,x'"),
+        (_TRAIN + " --jobs x", 1, "argument --jobs: invalid int value: 'x'"),
         ("train --task 1 --agent rm --episodes 1 --seeds 0 --out {tmp}/afile/o", 2,
          "cannot write {tmp}/afile/o: Not a directory"),
         (_GROUND + " --hidden 64 --out {tmp}/g.npz", 1, "unrecognized arguments: --hidden 64"),
@@ -269,6 +291,10 @@ class TestBadArguments:
         ("train --task 9 --agent rm --episodes 1 --out {tmp}/o", 2, "task id must be 1..8, got 9"),
         ("train --task 1 --episodes 1 --out {tmp}/o", 1,
          "the following arguments are required: --agent"),
+        ("train --agent rm --episodes 1 --out {tmp}/o", 1,
+         "the following arguments are required: --task"),
+        ("train --task 1 --agent dqn --episodes 1 --out {tmp}/o", 1,
+         "argument --agent: invalid choice: 'dqn'"),
         ("urs --machine {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
         ("ground --machine {mm} --traces {tmp}/latin1 --out {tmp}/o", 2,
          "cannot read {tmp}/latin1: not UTF-8 text"),
@@ -276,6 +302,9 @@ class TestBadArguments:
          "cannot read {tmp}/latin1: not UTF-8 text"),
         (_TRAIN + " --map {tmp}/latin1", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
         (_TRAIN + " --map {tmp}/huge.map", 2, "grid 1025x1024 has over 1048576 cells"),
+        (_TRAIN + " --map {tmp}/two.map", 2, "map declares two start cells"),
+        (_TRAIN + " --map {tmp}/nostart.map", 2, "map declares no start cell"),
+        (_TRAIN + " --map {tmp}/ragged.map", 2, "map rows must be nonempty and equal length"),
         (_TRAIN + " --map {tmp}/noB.map", 2, "task-relevant symbols ['b'] not placed on the grid"),
         (_TRAIN + " --map {tmp}/noB.map --seeds 0,1 --jobs 2", 2,
          "task-relevant symbols ['b'] not placed on the grid"),

@@ -253,6 +253,23 @@ class TestTextFormats:
         with pytest.raises(MachineFormatError):
             parse_map(f"gridmap v1\nS?...\n.....\n")
 
+    @pytest.mark.parametrize("rows, message", [
+        ("S..\n..S", "two start cells"),
+        ("...\n...", "no start cell"),
+        ("S..\n..", "nonempty and equal length"),
+        ("", "nonempty and equal length"),
+    ])
+    def test_map_rejects_bad_layouts(self, rows, message):
+        with pytest.raises(MachineFormatError, match=message):
+            parse_map(f"gridmap v1\n{rows}\n")
+
+    def test_map_skips_blank_lines(self):
+        assert parse_map("\n" + write_map(DEFAULT_CONFIG).replace("\n", "\n  \n")) == DEFAULT_CONFIG
+
+    def test_map_over_the_cell_cap_is_a_format_error(self):
+        with pytest.raises(MachineFormatError, match="has over"):
+            parse_map("gridmap v1\nS" + "." * 1024 + "\n" + ("." * 1025 + "\n") * 1023)
+
     def test_trace_csv_round_trip(self, task_machines):
         traces = synth_dataset(DEFAULT_CONFIG, task_machines[1], policy="mixture", n=10, seed=13)
         text = traces_to_csv(traces)
