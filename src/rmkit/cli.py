@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import sys
 import time
 
@@ -258,6 +259,9 @@ def _read_returns(path: str) -> list[float]:
 def cmd_plot(args) -> int:
     if args.window < 1:
         raise UsageError(f"--window must be at least 1, got {args.window}")
+    # XML 1.0 carries no surrogate, no C0 control but tab, LF and CR, and no U+FFFE/U+FFFF
+    if bad := re.search("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", args.title):
+        raise UsageError(f"--title holds U+{ord(bad.group()):04X}, which an SVG cannot carry")
     series = [_read_returns(path) for path in args.csv]
     svg = plotting.svg_curves([("returns", series)], title=args.title, window=args.window)
     _write(args.out, svg)

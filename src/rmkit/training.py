@@ -336,14 +336,10 @@ def smoothed(values, window: int) -> np.ndarray:
     """Trailing-window running mean (window shrinks at the start)."""
     if window < 1:
         raise InputError(f"smoothing window must be at least 1, got {window}")
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    csum = np.cumsum(values)
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out
+    csum = np.cumsum(np.asarray(values, dtype=np.float64))
+    i = np.arange(len(csum))
+    lo = np.maximum(0, i - window + 1)
+    return (csum - np.where(lo > 0, csum[lo - 1], 0.0)) / (i - lo + 1)
 
 
 def returns_to_csv(returns) -> str:

@@ -66,3 +66,21 @@ def test_tracer_sees_every_agent_update_and_action():
     for kind, run in zip(training.AGENT_KINDS, runs):
         names = {span[0] for span in tracer.spans if span[4] == run}
         assert {"training.update", "training.act"} <= names, kind
+
+
+def test_tracer_reads_the_urs_report():
+    """The tracer reads report fields through getattr defaults, so a renamed
+    field would leave its metric at 0 instead of failing the run."""
+    from rmkit import shortcuts
+    from rmkit.formulas import compile_formula
+
+    tracer = tracing.Tracer()
+    machine = compile_formula("F(a) & F(b)", tuple("abcde"))
+    tracer.install()
+    try:
+        shortcuts.find_urs(machine)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["shortcuts.survivors_n"] == 54
+    assert tracer.counts["shortcuts.levels"] == 3
+    assert tracer.counts["shortcuts.peak_pairs_max"] == 3

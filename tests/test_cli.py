@@ -232,6 +232,7 @@ class TestBadArguments:
         for name, steps in (("gap", ((0, 0), (0, 1), (0, 5))), ("neg", ((0, 0), (1, 3), (1, -2)))):
             rows = "".join(f"{ep},{t},1,0,0,0.0\n" for ep, t in steps)
             (tmp_path / f"{name}.csv").write_text("episode,t,x,y,reward_class,scalar_reward\n" + rows)
+        (tmp_path / "ok.csv").write_text("episode,return\n0,1.0\n")
         (tmp_path / "off.csv").write_text("episode,t,x,y,reward_class,scalar_reward\n0,0,99,-3,0,0.0\n")
         return {"tmp": tmp_path, "mm": task1_machine_file, "traces": traces}
 
@@ -279,6 +280,9 @@ class TestBadArguments:
         ("plot {tmp}/short.csv --out {tmp}/o", 2, _BAD_ROW % ("short", "0")),
         ("plot {tmp}/nan.csv --out {tmp}/o", 2, _BAD_ROW % ("nan", "0,nan")),
         ("plot {tmp}/ep.csv --out {tmp}/o", 2, _BAD_ROW % ("ep", "x,1.0")),
+        # a non-UTF-8 argument byte arrives as a lone surrogate
+        ("plot {tmp}/ok.csv --title a\udcffb --out {tmp}/o", 1, "--title holds U+DCFF"),
+        ("plot {tmp}/ok.csv --title a\x01b --out {tmp}/o", 1, "--title holds U+0001"),
         ("urs --machine {mm} --oracle bounded: --out {tmp}/o", 1, "bad oracle spec 'bounded:'"),
         ("urs --machine {mm} --oracle nope --out {tmp}/o", 1, "bad oracle spec 'nope'"),
         ("urs --machine {mm} --oracle bounded:0 --out {tmp}/o", 1, "bounded:<L> with L >= 1"),

@@ -255,6 +255,16 @@ class TestColumnClasses:
         full_table_urs(compile_formula("F(a) & F(b)", tuple("abcde")))
         assert rows == [108]
 
+    def test_count_and_survivors_match_the_exact_oracle(self):
+        rng = np.random.default_rng(97)
+        for i in range(50):
+            m = repeated_column_machine(rng, minimized=i % 2 == 0)
+            report = find_urs(m)
+            exact = urs_oracle_exact(m)
+            assert type(report.count) is int
+            assert report.count == len(exact) == len(report.survivors())
+            assert report.survivors() == sorted(exact)
+
 
 class TestBoundedOracle:
     def test_superset_of_exact_at_small_bound(self, task_machines):

@@ -346,6 +346,21 @@ class TestSmoothing:
         sm = smoothed(values, window=2)
         assert np.allclose(sm, [0.0, 5.0, 15.0, 25.0])
 
+    def test_matches_the_per_element_loop_bitwise(self):
+        def loop(values, window):
+            csum = np.cumsum(values)
+            out = np.empty_like(values)
+            for i in range(len(values)):
+                lo = max(0, i - window + 1)
+                out[i] = (csum[i] - (csum[lo - 1] if lo > 0 else 0.0)) / (i - lo + 1)
+            return out
+
+        rng = np.random.default_rng(3)
+        for _ in range(150):
+            values = rng.normal(0.0, 50.0, int(rng.integers(0, 3001)))
+            window = int(rng.integers(1, 5001))
+            assert np.array_equal(smoothed(values, window), loop(values, window))
+
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_below_one_rejected(self, window):
         with pytest.raises(InputError):
