@@ -12,7 +12,6 @@ import contextlib
 import dataclasses
 import math
 import os
-import re
 import sys
 import time
 
@@ -98,7 +97,7 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str):
-    with _file_errors(path, "write"), open(path, "w") as fh:
+    with _file_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -146,7 +145,7 @@ def cmd_urs(args) -> int:
     oracle = _oracle(args.oracle)
     machine = automata.deserialize(_read(args.machine))
     report = shortcuts.find_urs(machine)
-    with _file_errors(args.out, "write"), open(args.out, "w") as fh:
+    with _file_errors(args.out, "write"), open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(shortcuts.iter_report_csv(report))
     timing_lines = [
         f"algorithm_seconds = {report.timings['total']:.6f}",
@@ -259,9 +258,7 @@ def _read_returns(path: str) -> list[float]:
 def cmd_plot(args) -> int:
     if args.window < 1:
         raise UsageError(f"--window must be at least 1, got {args.window}")
-    # XML 1.0 carries no surrogate, no C0 control but tab, LF and CR, and no U+FFFE/U+FFFF
-    if bad := re.search("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", args.title):
-        raise UsageError(f"--title holds U+{ord(bad.group()):04X}, which an SVG cannot carry")
+    plotting.check_xml_text(args.title, "--title", UsageError)
     series = [_read_returns(path) for path in args.csv]
     svg = plotting.svg_curves([("returns", series)], title=args.title, window=args.window)
     _write(args.out, svg)

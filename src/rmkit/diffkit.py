@@ -6,15 +6,15 @@ the recorded graph in reverse topological order and then releases it.
 Shapes up to three axes are supported, which covers everything the package
 needs: MLPs, LSTM cells, and the probabilistic machine recurrence.
 Every training path runs its own backward on plain arrays; the graph
-serves the public ``nrm.forward`` and the tests' bit references.
-:func:`mlp` and :func:`softmax` also take a plain array and then return
-one, recording nothing.  A fused node runs the numpy expressions of the op
-chain it replaces, in order, so it gives the same bits.  The plain-array
-pieces are :func:`mlp`'s two halves, :func:`mlp_forward` and
-:func:`mlp_backward` (the A2C update and nrm's grounding loss),
-:func:`tau_softmax` with its adjoint :func:`softmax_grad`, and the rnn
-agent's :func:`lstm_cell`, whose kept activations :func:`lstm_backward`
-differentiates an update window from.
+serves the public ``nrm.forward`` (the recurrence as a chain of matmuls,
+the two of :func:`pmm_step` per step) and the tests' bit references.  :func:`mlp` and
+:func:`softmax` also take a plain array and then return one, recording
+nothing.  The one fused node, :func:`mlp`, runs the numpy expressions of its
+op chain, in order, so it gives the same bits.  The plain-array pieces are
+:func:`mlp`'s two halves, :func:`mlp_forward` and :func:`mlp_backward` (the
+A2C update and nrm's grounding loss), :func:`tau_softmax` with its adjoint
+:func:`softmax_grad`, and the rnn agent's :func:`lstm_cell`, whose kept
+activations :func:`lstm_backward` differentiates an update window from.
 Non-finite numbers are surfaced as :class:`~rmkit.errors.NumericsError`
 when a loss is reduced or differentiated, not silently propagated.
 """
@@ -239,12 +239,10 @@ def take(a: Value, index: int, axis=0) -> Value:
     a = _wrap(a)
     out = Value(np.take(a.data, index, axis=axis), (a,))
 
-    def backward():
-        g = np.zeros_like(a.data)
-        sl = [slice(None)] * a.data.ndim
-        sl[axis] = index
-        g[tuple(sl)] = out.grad
-        _accum(a, g)
+    def backward():  # into one grad for all of a's slices
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[(slice(None),) * (axis % a.data.ndim) + (index,)] += out.grad
 
     out._backward = backward
     return out
@@ -467,75 +465,23 @@ def dropout(a: Value, rate: float, rng: np.random.Generator) -> Value:
     return mul(a, mask)
 
 
-def pmm_step(q: Value, p: Value, m) -> Value:
+def pmm_step(q, p, m) -> Value:
     """One probabilistic-machine transition: q'[o] = sum_i p[i] * (q @ M[i])[o].
 
-    ``q`` is a state-probability row (``[Q]`` or batched ``[B, Q]``), ``p``
-    a symbol-probability row (``[P]`` or ``[B, P]``) and ``m`` the
-    ``[P, Q, Q]`` transition stack; a :func:`pmm_scan` of length one.
+    ``q`` is ``[Q]`` or ``[B, Q]``, ``p`` is ``[P]`` or ``[B, P]`` and ``m`` is the
+    ``[P, Q, Q]`` transition stack.  Two matmuls, as in ``nrm.forward_batch``: every
+    row's ``A = sum_i p[i] * M[i]`` at once, then each row's ``q @ A``.
     """
-    q, p = _wrap(q), _wrap(p)
-    b = q.data.shape[0] if q.data.ndim == 2 else 1
-    out = pmm_scan(reshape(q, (b, -1)), reshape(p, (b, 1, -1)), m)
-    return reshape(out, q.data.shape)
-
-
-def pmm_scan(q0, p, m) -> Value:
-    """The whole probabilistic-machine recurrence as one graph node.
-
-    ``q(t)[o] = sum_i p[:, t, i] * (q(t-1) @ M[i])[o]`` from ``q(-1) = q0``.
-    ``q0`` is ``[B, Q]``, ``p`` is ``[B, T, P]`` and ``m`` the ``[P, Q, Q]``
-    transition stack, either a constant array (machine known and frozen) or
-    a Value (machine being learned); the result stacks q(0..T-1) as
-    ``[B, T, Q]``.  Every step's matrix ``A(t) = sum_i p[:, t, i] * M[i]``
-    comes from one matmul, so each step is a batched vector-matrix product.
-    Backward is the reverse recursion of HMM forward-backward: one loop
-    carries dL/dq(t) from T-1 down to 0, then the gradients of ``p`` and
-    ``m`` follow from one product each.
-    """
-    q0_val = q0 if isinstance(q0, Value) else None
-    p_val = p if isinstance(p, Value) else None
-    m_val = m if isinstance(m, Value) else None
-    q0_data = np.asarray(q0.data if q0_val is not None else q0, dtype=np.float64)
-    p_data = np.asarray(p.data if p_val is not None else p, dtype=np.float64)
-    m_data = np.asarray(m.data if m_val is not None else m, dtype=np.float64)
-    ok = p_data.ndim == 3 and p_data.shape[1] >= 1 and q0_data.ndim == 2
-    if not (ok and q0_data.shape[0] == p_data.shape[0]
-            and m_data.shape == (p_data.shape[2],) + 2 * q0_data.shape[1:]):
-        raise InputError(f"pmm_scan wants q0 [B, Q], p [B, T>=1, P] and m [P, Q, Q], got "
-                         f"{q0_data.shape}, {p_data.shape} and {m_data.shape}")
-    b, t_len, n_p = p_data.shape
-    n_q = q0_data.shape[1]
-    p_flat = p_data.reshape(b * t_len, n_p)
-    m_flat = m_data.reshape(n_p, n_q * n_q)
-    a = (p_flat @ m_flat).reshape(b, t_len, n_q, n_q)  # A(t) = sum_i p[:, t, i] * M[i]
-    qs = np.empty((t_len + 1, b, 1, n_q))  # qs[t] = q(t-1), one row per sequence
-    qs[0, :, 0] = q0_data
-    for t in range(t_len):
-        np.matmul(qs[t], a[:, t], out=qs[t + 1])
-    parents = tuple(v for v in (q0_val, p_val, m_val) if v is not None)
-    out = Value(np.ascontiguousarray(qs[1:, :, 0].swapaxes(0, 1)), parents)
-
-    def backward():
-        g = out.grad
-        carried = np.empty((t_len, b, n_q, 1))  # carried[t] = dL/dq(t), one column per sequence
-        carried[-1, :, :, 0] = g[:, -1]
-        for t in range(t_len - 1, 0, -1):
-            np.matmul(a[:, t], carried[t], out=carried[t - 1])
-            carried[t - 1, :, :, 0] += g[:, t - 1]
-        g_all = carried[..., 0].swapaxes(0, 1)  # [B, T, Q]: dL/dq(t)
-        q_prev = qs[:-1, :, 0].swapaxes(0, 1)  # [B, T, Q]: q(t-1)
-        # dL/dA(t)[q, o] = q(t-1)[q] * dL/dq(t)[o], one [B*T, Q*Q] row per step
-        g_a = (q_prev[..., :, None] * g_all[..., None, :]).reshape(b * t_len, n_q * n_q)
-        if p_val is not None:
-            _accum(p_val, (g_a @ m_flat.T).reshape(b, t_len, n_p))
-        if m_val is not None:
-            _accum(m_val, (p_flat.T @ g_a).reshape(m_data.shape))
-        if q0_val is not None:
-            _accum(q0_val, (a[:, 0] @ carried[0])[..., 0])
-
-    out._backward = backward
-    return out
+    q, p, m = _wrap(q), _wrap(p), _wrap(m)
+    if not (q.data.ndim in (1, 2) and p.shape[:-1] == q.shape[:-1]
+            and m.shape == p.shape[-1:] + 2 * q.shape[-1:]):
+        raise InputError(f"pmm_step wants q [Q] or [B, Q], p [P] or [B, P] and m [P, Q, Q], "
+                         f"got {q.shape}, {p.shape} and {m.shape}")
+    n_p, n_q = m.shape[:2]
+    a = matmul(reshape(p, (-1, n_p)), reshape(m, (n_p, n_q * n_q)))
+    if q.data.ndim == 1:
+        return matmul(q, reshape(take(a, 0), (n_q, n_q)))
+    return stack([matmul(take(q, i), reshape(take(a, i), (n_q, n_q))) for i in range(len(a.data))])
 
 
 def lstm_cell(x, h, c, wx, wh, b):

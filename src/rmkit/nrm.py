@@ -19,8 +19,8 @@ between predicted reward probabilities and observed reward-class indices
 frozen machine, pure learning when the machine tensors are trained).  One
 implementation of that loss, :class:`_GroupFit`, serves the grounder refit,
 pure learning and evaluation.  It runs each length group on plain arrays,
-through scratch kept for the whole fit, with the expressions of the diffkit
-graph that :func:`forward` records, and so gives that graph's bits.
+through scratch kept for the whole fit, with the products of the diffkit
+graph that :func:`forward` records, and so gives that graph's values.
 """
 
 from __future__ import annotations
@@ -152,9 +152,13 @@ def forward_batch(params: ProbMachineParams, grounder, xs) -> ProbTraces:
     k = flat.data.shape[-1]
     if k != len(params.alphabet):
         raise InputError("grounder output width must match the alphabet")
-    x_pp = dk.reshape(flat, (b, t_len, k))
-    q0 = np.broadcast_to(params.q0, (b, params.n_states)).copy()
-    return ProbTraces(x_pp, dk.pmm_scan(q0, x_pp, mt_eff), mr_eff)
+    # every step's A(t) = sum_i p(t)[i] * Mt[i] from one product, then q(t) = q(t-1) @ A(t)
+    a = dk.reshape(dk.matmul(flat, dk.reshape(mt_eff, (k, -1))), (-1,) + mt_eff.shape[1:])
+    states = []
+    for row in range(b * t_len):
+        states.append(dk.matmul(states[-1] if row % t_len else params.q0, dk.take(a, row)))
+    return ProbTraces(dk.reshape(flat, (b, t_len, k)),
+                      dk.reshape(dk.stack(states), (b, t_len, -1)), mr_eff)
 
 
 class MachineStateTracker:
@@ -224,12 +228,13 @@ class _GroupFit:
     per-step dL/dp is summed onto the distinct rows and runs back through
     :func:`~rmkit.diffkit.mlp_backward`.  Against a learnable machine the
     symbol rows stay fixed and dL/dMt, dL/dMr run back through
-    ``tau_softmax`` into the logits.  The expressions and their order are
-    those of the diffkit graph for the same loss, so the two give the same
-    bits.  What does not change between steps is built once: the distinct
-    rows, the target index, the ``q0`` rows, a frozen machine's arrays, the
-    per-step views, and the scratch that ``A(t)``, the scan states, the
-    carried adjoint, dL/dA and dL/dp are written into.
+    ``tau_softmax`` into the logits.  The backward carries dL/dq(t) from T-1
+    down to 0 in one loop (HMM forward-backward); the grads of ``p`` and
+    ``Mt`` follow from one product each.  What does not change between steps
+    is built once: the distinct rows, the target index, the ``q0`` rows, a
+    frozen machine's arrays, the per-step views, and the scratch that
+    ``A(t)``, the scan states, the carried adjoint, dL/dA and dL/dp are
+    written into.
     """
 
     def __init__(self, params: ProbMachineParams, xs, ys):
@@ -246,9 +251,9 @@ class _GroupFit:
         self.a = np.empty((b * t_len, n_q * n_q))  # A(t) = sum_i p(t)[i] * M[i], then dL/dA(t)
         self.q = np.empty((b * t_len, n_q))  # q(t), then dL/dq(t)
         self.pred = np.empty((b * t_len, n_r))
-        qs = np.empty((t_len + 1, b, 1, n_q))  # qs[t] = q(t-1), as in pmm_scan
+        qs = np.empty((t_len + 1, b, 1, n_q))  # qs[t] = q(t-1), one row per sequence
         qs[0, :, 0] = np.broadcast_to(params.q0, (b, n_q))
-        carried = np.empty((t_len, b, n_q, 1))  # carried[t] = dL/dq(t), as in pmm_scan
+        carried = np.empty((t_len, b, n_q, 1))  # carried[t] = dL/dq(t), one column per sequence
         a = self.a4 = self.a.reshape(b, t_len, n_q, n_q)
         q = self.q3 = self.q.reshape(b, t_len, n_q)
         self.pred3 = self.pred.reshape(b, t_len, n_r)

@@ -8,6 +8,7 @@ timestamps.
 
 from __future__ import annotations
 
+import re
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -18,6 +19,13 @@ from .training import smoothed
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 28, 40
 COLORS = ("#1f6fb2", "#c24f1e", "#3a8f46", "#7a4fa3", "#a3832c")
+
+
+def check_xml_text(text: str, what: str, error=InputError):
+    """Raise ``error`` if ``text`` holds a character that an SVG cannot carry."""
+    # XML 1.0 carries no surrogate, no C0 control but tab, LF and CR, and no U+FFFE/U+FFFF
+    if bad := re.search("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", text):
+        raise error(f"{what} holds U+{ord(bad.group()):04X}, which an SVG cannot carry")
 
 
 def _fmt(v: float) -> str:
@@ -59,6 +67,8 @@ def svg_curves(groups, title: str = "", window: int = 100) -> str:
     """
     if not groups or all(not series for _, series in groups):
         raise InputError("nothing to plot")
+    for text in [title] + [label for label, _ in groups]:
+        check_xml_text(text, f"plot text {text!r}")
     prepared = []
     for label, series in groups:
         if not series:

@@ -77,37 +77,32 @@ def a2c_losses(logits: np.ndarray, values: np.ndarray, actions, returns):
 
     Advantages are detached: the policy term moves only the actor, the
     squared error only the critic, and the entropy bonus keeps the policy
-    from collapsing.  The expressions are the diffkit op chain's, in order,
-    so the grads are its bits.  A non-finite loss raises NumericsError.
+    from collapsing.  The values and grads are those of the diffkit op chain
+    for the same loss, bit for bit.  A non-finite loss raises NumericsError.
     """
-    actions = np.asarray(actions, dtype=np.int64)
-    returns = np.asarray(returns, dtype=np.float64)
-    z, v, inv_t = logits, values, 1.0 / values.size
-    shifted = z - z.max(axis=-1, keepdims=True)
+    rows, actions = np.arange(len(values)), np.asarray(actions, dtype=np.int64)
+    returns, inv_t = np.asarray(returns, dtype=np.float64), 1.0 / values.size
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     e_sum = e.sum(axis=-1, keepdims=True)
     logp = shifted - np.log(e_sum)
     probs = e / e_sum
-    onehot = np.zeros(z.shape)
-    onehot[np.arange(len(actions)), actions] = 1.0
-    advantages = returns - v
-    policy_loss = ((logp * onehot).sum(axis=-1) * advantages).sum() * inv_t * -1.0
-    err = v - returns
+    advantages = returns - values
+    policy_loss = -((logp[rows, actions] * advantages).sum() * inv_t)
+    err = values - returns
     value_loss = (err * err).sum() * inv_t
-    entropy = (probs * logp).sum(axis=-1).sum() * inv_t * -1.0
-    total = policy_loss * COEF_ACTOR + value_loss * COEF_CRITIC + entropy * COEF_ENTROPY * -1.0
+    entropy = -((probs * logp).sum(axis=-1).sum() * inv_t)
+    total = policy_loss * COEF_ACTOR + value_loss * COEF_CRITIC - entropy * COEF_ENTROPY
     if not np.isfinite(total):
         raise NumericsError("non-finite loss")
-    # the backward from d(total) = 1.0, whose products are exact
-    g_policy = COEF_ACTOR * -1.0 * inv_t
-    g_entropy = -1.0 * COEF_ENTROPY * -1.0 * inv_t
-    g_err = COEF_CRITIC * inv_t * err
+    g_entropy = COEF_ENTROPY * inv_t  # dtotal/d(probs * logp)
     g_probs = g_entropy * logp
-    g_logp = (g_policy * advantages)[:, None] * onehot + g_entropy * probs
+    g_logp = g_entropy * probs
+    g_logp[rows, actions] += -(COEF_ACTOR * inv_t) * advantages
     g_logits = ((g_logp - np.exp(logp) * g_logp.sum(axis=-1, keepdims=True))
                 + probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)))
     parts = {"policy": float(policy_loss), "value": float(value_loss), "entropy": float(entropy)}
-    return float(total), g_logits, g_err + g_err, parts
+    return float(total), g_logits, 2.0 * COEF_CRITIC * inv_t * err, parts
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -338,6 +333,7 @@ def smoothed(values, window: int) -> np.ndarray:
         raise InputError(f"smoothing window must be at least 1, got {window}")
     csum = np.cumsum(np.asarray(values, dtype=np.float64))
     i = np.arange(len(csum))
+    window = min(window, len(csum))  # a longer window averages the same prefixes
     lo = np.maximum(0, i - window + 1)
     return (csum - np.where(lo > 0, csum[lo - 1], 0.0)) / (i - lo + 1)
 

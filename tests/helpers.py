@@ -279,7 +279,7 @@ def graph_epoch(params, grounder, groups, order, optimizer=None) -> float:
         rows, inverse = np.unique(xs.reshape(-1, d), axis=0, return_inverse=True)
         mt, mr = params.machine_tensors()
         p = dk.reshape(gather_rows(grounder(Value(rows)), inverse.reshape(-1)), (b, t_len, -1))
-        states = dk.pmm_scan(np.broadcast_to(params.q0, (b, params.n_states)).copy(), p, mt)
+        states = list_pmm_scan(np.broadcast_to(params.q0, (b, params.n_states)).copy(), p, mt)
         loss = dk.cross_entropy(ProbTraces(p, states, mr).rewards, ys)
         if optimizer is not None:
             optimizer.zero_grad()
@@ -333,7 +333,14 @@ def chained_a2c_losses(logits: Value, values: Value, actions, returns):
 
 
 def list_pmm_scan(q0, p, m) -> Value:
-    """``dk.pmm_scan`` as it was with per-step lists and ``np.stack``: the bit reference."""
+    """The probabilistic-machine recurrence as one node: the bit reference for ``nrm``.
+
+    ``q(t) = q(t-1) @ A(t)`` from ``q(-1) = q0`` ``[B, Q]``, with every step's
+    ``A(t) = sum_i p[:, t, i] * M[i]`` from one product of ``p`` ``[B, T, P]`` and
+    ``m`` ``[P, Q, Q]`` (an array or a Value); the result is ``[B, T, Q]``.  Its
+    forward has the bits of ``nrm.forward_batch`` and ``nrm._GroupFit``; its backward,
+    the reverse recursion of HMM forward-backward, has ``_GroupFit``'s.
+    """
     q0_val = q0 if isinstance(q0, Value) else None
     p_val = p if isinstance(p, Value) else None
     m_val = m if isinstance(m, Value) else None

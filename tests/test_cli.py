@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_configs, load_params, machines
-from rmkit import automata, gridworld
+from rmkit import automata, gridworld, plotting
 from rmkit.cli import main
+from rmkit.errors import InputError
 from rmkit.formulas import compile_formula
 from rmkit.gridworld import DEFAULT_CONFIG, synth_dataset, traces_to_csv
 
@@ -276,6 +277,11 @@ class TestBadArguments:
         ("urs --machine {mm} --out {tmp}/missing/r.csv", 2, "cannot write {tmp}/missing/r.csv"),
         ("compile --formula F(a) --machine {tmp}/missing/m.mm", 2,
          "cannot write {tmp}/missing/m.mm: No such file or directory"),
+        # a non-UTF-8 alphabet byte, which no machine file can hold, printed or written
+        ("compile --formula F(a) --alphabet a,\udcff --machine {tmp}/o", 2,
+         "symbol names must be non-empty UTF-8 free of whitespace, got '\\udcff'"),
+        ("compile --formula F(a) --alphabet a,\udcff", 2,
+         "symbol names must be non-empty UTF-8 free of whitespace, got '\\udcff'"),
         ("plot {tmp}/abc.csv --out {tmp}/o", 2, _BAD_ROW % ("abc", "0,abc")),
         ("plot {tmp}/short.csv --out {tmp}/o", 2, _BAD_ROW % ("short", "0")),
         ("plot {tmp}/nan.csv --out {tmp}/o", 2, _BAD_ROW % ("nan", "0,nan")),
@@ -395,6 +401,31 @@ class TestPlot:
         out = tmp_path / "p.svg"
         assert main(["plot", str(csv), "--title", "<a & b>", "--out", str(out)]) == 0
         assert "<a & b>" in _svg_texts(out)
+
+    def test_a_window_past_the_series_is_the_series_length(self, tmp_path):
+        csv = tmp_path / "r.csv"
+        csv.write_text("episode,return\n" + "".join(f"{i},{float(i * i)!r}\n" for i in range(7)))
+        huge, full = tmp_path / "huge.svg", tmp_path / "full.svg"
+        assert main(["plot", str(csv), "--window", "9" * 20, "--out", str(huge)]) == 0
+        assert main(["plot", str(csv), "--window", "7", "--out", str(full)]) == 0
+        assert huge.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize("title, label, bad", [
+        ("t\x01", "returns", "plot text 't\\x01' holds U+0001"),
+        ("t\udcff", "returns", "holds U+DCFF"),
+        ("t", "a\x1fb", "plot text 'a\\x1fb' holds U+001F"),
+        ("t", "\ufffe", "holds U+FFFE"),
+    ])
+    def test_svg_curves_refuses_text_an_svg_cannot_carry(self, title, label, bad):
+        with pytest.raises(InputError, match=re.escape(bad)):
+            plotting.svg_curves([(label, [[0.0, 1.0]])], title=title)
+
+    def test_svg_curves_carries_tabs_escapes_and_astral_text(self, tmp_path):
+        svg = tmp_path / "p.svg"
+        svg.write_text(plotting.svg_curves([("a\t<&>", [[0.0, 1.0]])], title="t\U0001f600\u00e9"),
+                       encoding="utf-8")
+        texts = _svg_texts(svg)
+        assert "a\t<&>" in texts and "t\U0001f600\u00e9" in texts
 
 
 # Fuzzing: any text in a trace file gives exit 0, 1 or 2, never a traceback.

@@ -22,7 +22,6 @@ from rmkit.diffkit import (
     matmul,
     mlp,
     mul,
-    pmm_scan,
     pmm_step,
     relu,
     reshape,
@@ -38,6 +37,7 @@ from rmkit.diffkit import (
 )
 from rmkit.errors import InputError, NumericsError
 from rmkit.networks import LSTM
+from rmkit.nrm import ProbMachineParams, forward_batch
 
 
 def check_op(build, *shapes, seed=0, rtol=1e-4):
@@ -125,23 +125,20 @@ class TestGradients:
 
         check_op(build, (3,), (2,))
 
-    def test_pmm_scan_constant_machine(self):
-        m_const = np.random.default_rng(9).dirichlet(np.ones(3), size=(2, 3))
-        q0 = np.random.default_rng(10).dirichlet(np.ones(3), size=4)
-        weights = np.random.default_rng(11).standard_normal((4, 5, 3))
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_forward_batch(self, frozen):
+        """B=3, T=4 from a mixed q0: into the symbol rows and, when the machine
+        learns, into its transition and reward logits."""
+        rng = np.random.default_rng(12)
+        q0, weights = rng.dirichlet(np.ones(3)), rng.standard_normal((3, 4, 2))
+        mt, mr = Value(rng.dirichlet(np.ones(3), size=(2, 3))), Value(rng.dirichlet(np.ones(2), size=3))
 
-        def build(p):
-            return vsum(mul(pmm_scan(q0, softmax(p), m_const), weights))
+        def build(p, mt=mt, mr=mr):
+            params = ProbMachineParams(("a", "b"), (0, 1), mt, mr, q0, tau=0.7, frozen=frozen)
+            traces = forward_batch(params, lambda x: softmax(p), np.zeros((3, 4, 1)))
+            return vsum(mul(traces.rewards, weights))
 
-        check_op(build, (4, 5, 2))
-
-    def test_pmm_scan_learnable_everything(self):
-        weights = np.random.default_rng(12).standard_normal((3, 4, 3))
-
-        def build(q, p, m):
-            return vsum(mul(pmm_scan(softmax(q), softmax(p), softmax(m, axis=-1)), weights))
-
-        check_op(build, (3, 3), (3, 4, 2), (2, 3, 3))
+        check_op(build, (12, 2), *(() if frozen else ((2, 3, 3), (3, 2))))
 
     @pytest.mark.parametrize("acts", [("tanh", None), (None, "softmax"), ("tanh", "softmax")])
     @pytest.mark.parametrize("x_shape", [(4,), (3, 4)])
@@ -162,59 +159,58 @@ class TestGradients:
 
 
 class TestPmmScan:
-    def test_matches_chained_steps(self):
+    """The machine recurrence as a chain of graph ops: ``pmm_step`` and ``nrm.forward_batch``."""
+
+    def test_forward_batch_matches_chained_steps(self):
         rng = np.random.default_rng(13)
-        q0 = rng.dirichlet(np.ones(4), size=3)
-        p = rng.dirichlet(np.ones(2), size=(3, 6))
-        m = rng.dirichlet(np.ones(4), size=(2, 4))
-        weights = rng.standard_normal((3, 6, 4))
-        scan_leaves = [Value(q0.copy()), Value(p.copy()), Value(m.copy())]
-        scan = pmm_scan(*scan_leaves)
-        vsum(mul(scan, weights)).backward()
-        step_leaves = [Value(q0.copy()), Value(p.copy()), Value(m.copy())]
-        q, rows = step_leaves[0], []
+        q0, p = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(2), size=(3, 6))
+        m, weights = rng.standard_normal((2, 4, 4)), rng.standard_normal((3, 6, 4))
+        batch_leaves = [Value(p.copy()), Value(m.copy())]
+        params = ProbMachineParams(("a", "b"), (0,), batch_leaves[1], Value(np.ones((4, 1))), q0,
+                                   tau=0.5, frozen=False)
+        batched = forward_batch(params, lambda x: reshape(batch_leaves[0], (18, 2)),
+                                np.zeros((3, 6, 1))).states
+        vsum(mul(batched, weights)).backward()
+        step_leaves = [Value(p.copy()), Value(m.copy())]
+        q, m_eff, rows = np.broadcast_to(q0, (3, 4)), tau_softmax(step_leaves[1], 0.5), []
         for t in range(6):
-            q = pmm_step(q, take(step_leaves[1], t, axis=1), step_leaves[2])
+            q = pmm_step(q, take(step_leaves[0], t, axis=1), m_eff)
             rows.append(q)
         chained = stack(rows, axis=1)
         vsum(mul(chained, weights)).backward()
-        # the same einsum per step, forward and along the adjoint chain; only
-        # the machine gradient sums its T terms in another order
-        assert np.array_equal(scan.data, chained.data)
-        assert np.array_equal(scan_leaves[0].grad, step_leaves[0].grad)
-        assert np.array_equal(scan_leaves[1].grad, step_leaves[1].grad)
-        assert np.allclose(scan_leaves[2].grad, step_leaves[2].grad, rtol=1e-12, atol=1e-15)
+        # the same products per step; the grads sum their terms in another order
+        assert np.array_equal(batched.data, chained.data)
+        for new, ref in zip(batch_leaves, step_leaves):
+            assert np.allclose(new.grad, ref.grad, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("learnable", [False, True])
     def test_matches_list_reference_bitwise(self, learnable):
+        """forward_batch's states against the fused node that pins nrm._GroupFit's bits."""
         rng = np.random.default_rng(15)
         for b, t_len, n_q, n_p in ((1, 1, 3, 2), (3, 6, 4, 2), (7, 15, 5, 5), (2, 40, 8, 3)):
-            arrays = [rng.dirichlet(np.ones(n_q), size=b), rng.dirichlet(np.ones(n_p), size=(b, t_len)),
-                      rng.dirichlet(np.ones(n_q), size=(n_p, n_q))]
-            weights = rng.standard_normal((b, t_len, n_q))
-            outs, grads = [], []
-            for scan in (pmm_scan, list_pmm_scan):
-                leaves = [Value(a.copy()) for a in arrays]
-                args = leaves if learnable else [arrays[0], leaves[1], arrays[2]]
-                out = scan(*args)
-                vsum(mul(out, weights)).backward()
-                outs.append(out.data)
-                grads.append([v.grad for v in args if isinstance(v, Value)])
-            assert np.array_equal(outs[0], outs[1])
-            assert len(grads[0]) == (3 if learnable else 1)
-            for new, ref in zip(*grads):
-                assert np.array_equal(new, ref)
+            q0, p = rng.dirichlet(np.ones(n_q)), rng.dirichlet(np.ones(n_p), size=(b * t_len))
+            m = rng.standard_normal((n_p, n_q, n_q)) if learnable else rng.dirichlet(
+                np.ones(n_q), size=(n_p, n_q))
+            params = ProbMachineParams(tuple("abcde"[:n_p]), (0,), Value(m), Value(np.ones((n_q, 1))),
+                                       q0, tau=0.6, frozen=not learnable)
+            states = forward_batch(params, lambda x: Value(p), np.zeros((b, t_len, 1))).states
+            mt = params.machine_tensors()[0]
+            ref = list_pmm_scan(np.broadcast_to(q0, (b, n_q)).copy(), p.reshape(b, t_len, n_p),
+                                mt.data if learnable else mt)
+            assert np.array_equal(states.data, ref.data)
 
     def test_shape_mismatch(self):
         m = np.ones((2, 3, 3)) / 3.0
-        with pytest.raises(InputError):
-            pmm_scan(np.ones((4, 3)), np.ones((4, 2)), m)
-        with pytest.raises(InputError):
-            pmm_scan(np.ones((2, 3)), np.ones((4, 5, 2)), m)
-        with pytest.raises(InputError):
-            pmm_scan(np.ones((4, 3)), np.ones((4, 5, 3)), m)
-        with pytest.raises(InputError):
-            pmm_scan(np.ones((4, 3)), np.ones((4, 0, 2)), m)
+        with pytest.raises(InputError, match="pmm_step wants"):
+            pmm_step(np.ones((4, 3)), np.ones((4, 1, 2)), m)
+        with pytest.raises(InputError, match="pmm_step wants"):
+            pmm_step(np.ones((2, 3)), np.ones((4, 2)), m)
+        with pytest.raises(InputError, match="pmm_step wants"):
+            pmm_step(np.ones((4, 3)), np.ones((4, 3)), m)
+        with pytest.raises(InputError, match="pmm_step wants"):
+            pmm_step(np.ones((4, 3)), np.ones((4, 0)), m)
+        with pytest.raises(InputError, match="pmm_step wants"):
+            pmm_step(np.ones(4), np.ones(2), m)
 
 
 class TestLstmBackward:
@@ -527,6 +523,14 @@ class TestAdam:
             assert not np.array_equal(p.data, a)
         assert np.array_equal(opt.grad, np.ones(9))
         assert np.array_equal(opt.data, np.concatenate([w.data.ravel(), b.data]))
+
+    def test_take_grads_land_in_the_flat_grad(self):
+        w = Value(np.arange(6.0).reshape(2, 3))
+        opt = Adam([Value(np.zeros(2)), w])
+        opt.zero_grad()
+        (vsum(mul(take(w, 1), np.array([1.0, 2.0, 3.0]))) + vsum(take(w, 2, axis=1))).backward()
+        assert np.array_equal(opt.grad, [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 4.0])
+        assert np.shares_memory(w.grad, opt.grad)
 
     def test_empty_parameter_list_is_a_no_op(self):
         opt = Adam([])

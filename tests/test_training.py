@@ -322,6 +322,25 @@ class TestRuns:
             held = {id(p) for p in seen["nets"].optimizer.params}
             assert all(id(p) in held for p in seen["lstm"].params())
 
+    def test_nrm_refit_runs_no_graph(self, monkeypatch):
+        """The refit grounds through nrm._GroupFit: no forward_batch, no graph backward."""
+        from rmkit import nrm, training
+
+        counts = {"refit": 0, "forward_batch": 0, "backward": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(training, "train_grounder", counting("refit", training.train_grounder))
+        monkeypatch.setattr(nrm, "forward_batch", counting("forward_batch", nrm.forward_batch))
+        monkeypatch.setattr(Value, "backward", counting("backward", Value.backward))
+        cfg = TrainConfig(episodes=training.GROUNDER_PERIOD, seeds=(0,))
+        run_single(1, "nrm", cfg, DEFAULT_CONFIG, seed=0)
+        assert counts == {"refit": 1, "forward_batch": 0, "backward": 0}
+
     def test_unknown_agent(self):
         with pytest.raises(InputError):
             run_single(1, "dqn", TrainConfig(episodes=1), DEFAULT_CONFIG, 0)
@@ -360,6 +379,10 @@ class TestSmoothing:
             values = rng.normal(0.0, 50.0, int(rng.integers(0, 3001)))
             window = int(rng.integers(1, 5001))
             assert np.array_equal(smoothed(values, window), loop(values, window))
+
+    def test_a_window_past_the_series_is_its_length(self):
+        values = np.random.default_rng(4).normal(0.0, 50.0, 9)
+        assert np.array_equal(smoothed(values, 10**20), smoothed(values, 9))
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_below_one_rejected(self, window):
