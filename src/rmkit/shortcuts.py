@@ -16,8 +16,8 @@ Three routes are implemented:
   ``delta(., r)`` are interchangeable as images: ``alpha`` reads
   ``alpha(p)`` only through that column.  So the search runs on the
   class rows, the product with each image set cut to one symbol per
-  column class, and every product row takes the outcome of its class
-  row.  Each class row keeps a frontier of
+  column class, and the report keeps one outcome per class row, which
+  every renaming of the product takes.  Each class row keeps a frontier of
   (state-under-x, state-under-alpha(x)) pairs, deduplicated per row over
   its lifetime; extensions are skipped when both sides sit in absorbing
   states (suffixes can never diverge) or when a symbol self-loops both
@@ -90,27 +90,36 @@ def is_working(m: MooreMachine, alpha: Sequence[int], dataset) -> bool:
 
 @dataclass
 class UrsReport:
-    """Search outcome: surviving renamings plus per-candidate diagnostics.
+    """Search outcome: surviving renamings plus per-class-row diagnostics.
 
-    The per-candidate arrays cover only the renamings that survive level 1,
-    the product of ``images``; every other renaming died at level 1.
+    Only the product of ``images`` survives level 1.  Each renaming in it
+    takes the outcome of its class row, the product of ``classes``.
     """
 
     alphabet: tuple[str, ...]
     images: tuple[tuple[int, ...], ...]  # images[p]: the alpha(p) that pass level 1, ascending
-    candidates: np.ndarray  # [N, P] int, the level-1 product in lexicographic order
-    survived: np.ndarray  # [N] bool, per product row
-    iterations: np.ndarray  # [N] int, level at which each product row resolved
-    peak_pairs: np.ndarray  # [N] int, largest frontier reached per product row
+    classes: tuple[tuple[int, ...], ...]  # classes[p][i]: column class of images[p][i] among images[p]'s
+    survived: np.ndarray  # [C] bool, per class row
+    iterations: np.ndarray  # [C] int, level at which each class row resolved
+    peak_pairs: np.ndarray  # [C] int, largest frontier reached per class row
     levels: int  # outer-loop iterations of the search
     timings: dict[str, float]
 
     @property
     def count(self) -> int:
-        return int(self.survived.sum())
+        sizes = [np.bincount(c) for c in self.classes]  # per position, the size of each class
+        return int(_product_array(sizes).prod(axis=1)[self.survived].sum())
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The level-1 product in blocks of ``_BLOCK_ROWS`` rows, each with its rows' class rows."""
+        radix = [max(c) + 1 for c in self.classes]
+        for lo in range(0, math.prod(len(a) for a in self.images), _BLOCK_ROWS):
+            classes = _product_array(self.classes, lo, lo + _BLOCK_ROWS)
+            yield _product_array(self.images, lo, lo + _BLOCK_ROWS), np.ravel_multi_index(classes.T, radix)
 
     def survivors(self) -> list[tuple[int, ...]]:
-        return [tuple(int(v) for v in row) for row in self.candidates[self.survived]]
+        return [tuple(int(v) for v in row)
+                for rows, index in self.blocks() for row in rows[self.survived[index]]]
 
     def survivor_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.survivors())
@@ -146,21 +155,29 @@ def _column_reps(m: MooreMachine) -> list[int]:
     return [first.setdefault(col, r) for r, col in enumerate(zip(*m.transitions))]
 
 
-def _product_array(images: tuple[tuple[int, ...], ...]) -> np.ndarray:
-    """The Cartesian product of ``images`` as rows, lexicographic since each image set is ascending."""
+def _product_array(images: Sequence[Sequence[int]], lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows ``lo``..``hi`` (cut to the end) of the product of ``images``, lexicographic if each is ascending."""
     sizes = [len(a) for a in images]
     total = math.prod(sizes)
-    rows = np.empty((total, len(images)), dtype=np.int64)
-    inner = total
-    for p, a in enumerate(images):
-        inner //= sizes[p]
-        # column p cycles through a, each value repeated over the later columns' span
-        rows.reshape(-1, sizes[p], inner, len(images))[:, :, :, p] = np.array(a)[:, np.newaxis]
-    return rows
+    hi = total if hi is None else min(hi, total)
+    # runs of span rows: columns q.. cycle through their whole product in each, columns ..q are constant
+    q, span = len(sizes), 1
+    while q and span * sizes[q - 1] <= hi - lo:
+        q -= 1
+        span *= sizes[q]
+    runs = np.arange(lo // span, -(-hi // span))
+    rows = np.empty((len(runs), span, len(sizes)), dtype=np.int64)
+    for p, a in enumerate(np.array(a, dtype=np.int64) for a in images):
+        inner = math.prod(sizes[p + 1:])  # rows per value of column p
+        if p < q:
+            rows[:, :, p] = a[runs // (inner // span) % sizes[p], np.newaxis]
+        else:
+            rows.reshape(len(runs), -1, sizes[p], inner, len(sizes))[..., p] = a[:, np.newaxis]
+    return rows.reshape(-1, len(sizes))[lo % span:lo % span + hi - lo]
 
 
-_BLOCK_ROWS = 1 << 16  # rows per scatter in the level loop and per block of report text
-_MAX_ROWS = 1 << 22  # level-1 product cap; task 1 over 9 symbols, 3.3M rows, peaks at 340 MB
+_BLOCK_ROWS = 1 << 16  # rows per scatter in the level loop and per block of the product
+_MAX_ROWS = 1 << 22  # level-1 product cap: the report lists every row (task 1 over 9 symbols: 3.3M)
 
 
 def _level_loop(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
@@ -231,13 +248,12 @@ def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool =
     loop runs on the class rows only: the level-1 product with every image
     set cut to the first symbol of each column class (task 1 over ``a``..``h``:
     4 rows for the 186,624 of the product).  A renaming reads its images only
-    through their columns, so its pair frontiers equal its class row's at
-    every level, and each product row of the report copies its class row's
-    verdict, level and peak.  The two skips never change the result (they
-    drop extensions whose suffixes are covered by the absorbing-state and
-    pumping arguments); they exist to be toggled off for the
-    pruning-neutrality check.  A level-1 product over ``_MAX_ROWS``
-    renamings raises :class:`InputError` before any allocation.
+    through their columns, so it shares its class row's frontiers, verdict,
+    level and peak.  The two skips never change the result (they drop
+    extensions covered by the absorbing-state and pumping arguments); they
+    exist to be toggled off for the pruning-neutrality check.  A level-1
+    product over ``_MAX_ROWS`` renamings raises :class:`InputError` before
+    any product is built.
     """
     t0 = time.perf_counter()
     images = _level1_images(m)
@@ -246,13 +262,7 @@ def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool =
         raise InputError(f"{rows} renamings pass level 1, over the {_MAX_ROWS} the search can hold")
     rep = _column_reps(m)
     reps = tuple(tuple(r for r in a if rep[r] == r) for a in images)
-    cand = _product_array(images)
-    # index[i]: the class row of product row i, the mixed-radix number of the
-    # positions of its images' reps in ``reps``
-    index = np.arange(math.prod(len(b) for b in reps)).reshape([len(b) for b in reps])
-    for p, (a, b) in enumerate(zip(images, reps)):
-        index = index.take([b.index(rep[r]) for r in a], axis=p)
-    index = index.reshape(-1)
+    classes = tuple(tuple(b.index(rep[r]) for r in a) for a, b in zip(images, reps))
     t_init = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -260,16 +270,8 @@ def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool =
                                                   skip_selfloop)
     t_search = time.perf_counter() - t1
 
-    return UrsReport(
-        alphabet=m.alphabet,
-        images=images,
-        candidates=cand,
-        survived=alive[index],
-        iterations=iterations[index],
-        peak_pairs=peak[index],
-        levels=levels,
-        timings={"init": t_init, "search": t_search, "total": time.perf_counter() - t0},
-    )
+    return UrsReport(m.alphabet, images, classes, alive, iterations, peak, levels,
+                     {"init": t_init, "search": t_search, "total": time.perf_counter() - t0})
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +339,14 @@ def urs_oracle_bounded(m: MooreMachine, max_len: int) -> frozenset[tuple[int, ..
 
 def iter_report_csv(report: UrsReport) -> Iterator[str]:
     """Deterministic CSV in blocks of ``_BLOCK_ROWS`` rows: one row per level-1
-    product renaming (lexicographic), then a TOTAL row.
+    product renaming (lexicographic) with its class row's outcome, then a TOTAL row.
 
     A renaming with no row died at level 1.  Wall-times are deliberately
     excluded; identical inputs must yield bit-identical files.
     """
     yield "alpha,survived,iterations\n"
-    for lo in range(0, len(report.candidates), _BLOCK_ROWS):
-        rows = zip(report.candidates[lo:lo + _BLOCK_ROWS].tolist(),
-                   report.survived[lo:lo + _BLOCK_ROWS].astype(np.int64).tolist(),
-                   report.iterations[lo:lo + _BLOCK_ROWS].tolist())
-        yield "".join(f"{format_map(alpha, report.alphabet)},{alive},{level}\n"
-                      for alpha, alive, level in rows)
+    tails = [f",{int(alive)},{level}\n" for alive, level in zip(report.survived, report.iterations.tolist())]
+    for rows, index in report.blocks():
+        yield "".join(format_map(alpha, report.alphabet) + tails[c]
+                      for alpha, c in zip(rows.tolist(), index.tolist()))
     yield f"TOTAL,{report.count},{report.levels}\n"

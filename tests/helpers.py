@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
@@ -182,12 +183,37 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rtol=1e-4):
     assert err.max() <= rtol, f"gradient mismatch: max rel err {err.max():.2e}"
 
 
+@dataclass
+class RowReport:
+    """A URS outcome with one row per level-1 renaming, in lexicographic order."""
+
+    candidates: np.ndarray  # [N, P] int
+    survived: np.ndarray  # [N] bool
+    iterations: np.ndarray  # [N] int
+    peak_pairs: np.ndarray  # [N] int
+    levels: int
+
+    def survivors(self) -> list[tuple[int, ...]]:
+        return [tuple(row) for row in self.candidates[self.survived].tolist()]
+
+
+def per_renaming(report: shortcuts.UrsReport) -> RowReport:
+    """The class-row arrays of a find_urs report copied to every renaming of
+    its level-1 product, through itertools rather than the report's blocks."""
+    class_rows = itertools.product(*(range(max(c) + 1) for c in report.classes))
+    position = {row: i for i, row in enumerate(class_rows)}
+    index = [position[row] for row in itertools.product(*report.classes)]
+    cand = np.array(list(itertools.product(*report.images)), dtype=np.int64).reshape(len(index), -1)
+    return RowReport(cand, report.survived[index], report.iterations[index],
+                     report.peak_pairs[index], report.levels)
+
+
 def full_table_urs(m: MooreMachine, skip_absorbing=True,
-                   skip_selfloop=True) -> tuple[shortcuts.UrsReport, str]:
-    """The report and report CSV from the level loop run on every renaming itself.
+                   skip_selfloop=True) -> tuple[RowReport, str]:
+    """The per-renaming outcome and report CSV from the level loop run on every renaming itself.
 
     The reference for find_urs, which runs the loop once per column class
-    row and copies each renaming's row from its class row: here all |P|^|P|
+    row and gives each renaming its class row's outcome: here all |P|^|P|
     rows are filtered by their length-1 strings and every one of the rest
     enters the level loop.  The CSV lists in lexicographic order every
     renaming that did not die at level 1, each with its own verdict.
@@ -197,13 +223,11 @@ def full_table_urs(m: MooreMachine, skip_absorbing=True,
     first = np.array([m.outputs[q] for q in m.transitions[m.initial]])
     cand = cand[(first[cand] == first).all(axis=1)]
     alive, iterations, peak, levels = shortcuts._level_loop(m, cand, skip_absorbing, skip_selfloop)
-    images = tuple(tuple(np.unique(col).tolist()) for col in cand.T)
-    report = shortcuts.UrsReport(m.alphabet, images, cand, alive, iterations, peak, levels, {})
     lines = ["alpha,survived,iterations"]
     for alpha, ok, level in zip(cand, alive, iterations):
         lines.append(f"{shortcuts.format_map(alpha, m.alphabet)},{int(ok)},{int(level)}")
     lines.append(f"TOTAL,{int(alive.sum())},{levels}")
-    return report, "\n".join(lines) + "\n"
+    return RowReport(cand, alive, iterations, peak, levels), "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

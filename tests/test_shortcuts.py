@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from helpers import (
     TASK_URS_COUNTS,
     full_table_urs,
+    per_renaming,
     random_machine,
     random_string,
     repeated_column_machine,
@@ -137,7 +139,7 @@ class TestLevelOneProduct:
         for k in range(1, 5):
             m = _first_step_machine(rng, k, [0] * k)
             report = find_urs(m)
-            assert len(report.candidates) == k**k
+            assert len(per_renaming(report).candidates) == k**k
             assert report.survivor_set() == urs_oracle_exact(m)
 
     def test_distinct_first_outputs_leave_only_the_identity(self):
@@ -145,17 +147,38 @@ class TestLevelOneProduct:
         for k in range(1, 6):
             m = _first_step_machine(rng, k, range(1, k + 1))
             report = find_urs(m)
-            assert report.candidates.tolist() == [list(range(k))]
+            assert per_renaming(report).candidates.tolist() == [list(range(k))]
             assert report.survivors() == [tuple(range(k))]
             assert report.survivor_set() == urs_oracle_exact(m)
 
-    def test_candidates_are_the_lexicographic_product(self):
+    def test_blocks_are_the_lexicographic_product_with_class_rows(self, monkeypatch):
+        monkeypatch.setattr(shortcuts, "_BLOCK_ROWS", 7)
         rng = np.random.default_rng(71)
-        for _ in range(20):
-            m = random_machine(rng, max_states=5, max_symbols=5)
+        for i in range(40):
+            m = (random_machine if i % 2 else repeated_column_machine)(rng, max_states=5, max_symbols=5)
             report = find_urs(m)
-            rows = [tuple(r) for r in report.candidates.tolist()]
-            assert rows == list(itertools.product(*report.images))
+            blocks = list(report.blocks())
+            assert all(len(rows) == len(index) <= 7 for rows, index in blocks)
+            rows = np.concatenate([rows for rows, _ in blocks])
+            index = np.concatenate([index for _, index in blocks])
+            assert [tuple(r) for r in rows.tolist()] == list(itertools.product(*report.images))
+            expanded = per_renaming(report)
+            for field in ("survived", "iterations", "peak_pairs"):
+                assert np.array_equal(getattr(report, field)[index], getattr(expanded, field)), field
+
+    def test_product_blocks_concatenate_to_the_product(self):
+        rng = np.random.default_rng(72)
+        for _ in range(200):
+            images = tuple(tuple(sorted(rng.choice(8, size=int(rng.integers(1, 5)), replace=False).tolist()))
+                           for _ in range(int(rng.integers(1, 6))))
+            full = list(itertools.product(*images))
+            assert [tuple(r) for r in shortcuts._product_array(images).tolist()] == full
+            block = int(rng.integers(1, len(full) + 3))
+            # the last block may end past the product, which cuts it
+            parts = [shortcuts._product_array(images, lo, lo + block) for lo in range(0, len(full), block)]
+            assert all(part.dtype == np.int64 and part.shape[1] == len(images) for part in parts)
+            assert [tuple(r) for r in np.concatenate(parts).tolist()] == full
+            assert shortcuts._product_array(images, len(full), len(full) + block).shape == (0, len(images))
 
     def test_no_renaming_resolves_at_level_1(self):
         # each level-1 image set keeps every length-1 pair's outputs equal
@@ -200,16 +223,18 @@ class TestLevelOneProduct:
         rng = np.random.default_rng(79)
         for i in rng.choice(len(survivors), size=20, replace=False):
             assert equivalent(m, relabel(m, survivors[i]))
-        dead = np.flatnonzero(~report.survived)
+        expanded = per_renaming(report)
+        assert expanded.survivors() == survivors
+        dead = np.flatnonzero(~expanded.survived)
         for i in rng.choice(dead, size=20, replace=False):
-            assert not equivalent(m, relabel(m, tuple(report.candidates[i].tolist())))
+            assert not equivalent(m, relabel(m, tuple(expanded.candidates[i].tolist())))
 
     def test_oversized_product_is_refused_before_allocation(self, compile_formula, monkeypatch):
         # alpha(s0) = s0 and any other symbol to any of s1..s11 pass level 1: 11**11 renamings
         m = compile_formula("G(!s0)", tuple(f"s{i}" for i in range(12)))
 
-        def no_alloc(images):
-            raise AssertionError("the level-1 product was built")
+        def no_alloc(*args):
+            raise AssertionError("a product was built")
 
         monkeypatch.setattr(shortcuts, "_product_array", no_alloc)
         with pytest.raises(InputError, match=f"{11**11} renamings pass level 1"):
@@ -231,8 +256,9 @@ class TestColumnClasses:
             m = repeated_column_machine(rng, minimized=i % 2 == 0)
             ref, csv = full_table_urs(m, skip_absorbing, skip_selfloop)
             report = find_urs(m, skip_absorbing=skip_absorbing, skip_selfloop=skip_selfloop)
+            expanded = per_renaming(report)
             for field in ("candidates", "survived", "iterations", "peak_pairs"):
-                got, want = getattr(report, field), getattr(ref, field)
+                got, want = getattr(expanded, field), getattr(ref, field)
                 assert got.dtype == want.dtype and np.array_equal(got, want), field
             assert report.levels == ref.levels
             assert "".join(iter_report_csv(report)) == csv
@@ -250,7 +276,9 @@ class TestColumnClasses:
         # task 1 over a..h: {a}, {b} and {c..h} are its column classes
         report = find_urs(compile_formula("F(a) & F(b)", tuple("abcdefgh")))
         assert rows == [4]
-        assert len(report.candidates) == 186624
+        assert len(report.survived) == len(report.iterations) == len(report.peak_pairs) == 4
+        assert math.prod(len(a) for a in report.images) == 186624
+        assert report.count == 93312
         rows.clear()
         full_table_urs(compile_formula("F(a) & F(b)", tuple("abcde")))
         assert rows == [108]
@@ -264,6 +292,14 @@ class TestColumnClasses:
             assert type(report.count) is int
             assert report.count == len(exact) == len(report.survivors())
             assert report.survivors() == sorted(exact)
+
+    def test_count_is_the_number_of_survivors(self):
+        rng = np.random.default_rng(101)
+        for i in range(100):
+            m = random_machine(rng, max_states=6, max_symbols=6, minimized=i % 2 == 0)
+            report = find_urs(m)
+            assert type(report.count) is int
+            assert report.count == len(report.survivors()) == int(per_renaming(report).survived.sum())
 
 
 class TestBoundedOracle:
@@ -353,7 +389,7 @@ class TestReportCsv:
         assert lines[-1].startswith("TOTAL,54,")
         body = [ln.split(",")[0] for ln in lines[1:-1]]
         assert body == sorted(body)
-        assert len(body) == len(find_urs(m).candidates) == 108
+        assert len(body) == len(per_renaming(find_urs(m)).candidates) == 108
 
     def test_format_map(self):
         assert format_map((1, 0, 2, 3, 4), ("a", "b", "c", "d", "e")) == "bacde"
@@ -362,7 +398,7 @@ class TestReportCsv:
 
 class TestReportDiagnostics:
     def test_iterations_and_peaks_populated(self, task_machines):
-        report = find_urs(task_machines[1])
+        report = per_renaming(find_urs(task_machines[1]))
         assert (report.iterations >= 1).all()
         assert report.levels == int(report.iterations.max())
         assert (report.peak_pairs >= 1).all()
