@@ -102,7 +102,7 @@ def _write(path: str, text: str):
 
 
 def _load_grid(args) -> gridworld.GridConfig:
-    if args.map:
+    if args.map is not None:
         return gridworld.parse_map(_read(args.map))
     return gridworld.DEFAULT_CONFIG
 
@@ -112,14 +112,24 @@ def cmd_compile(args) -> int:
     machine = compile_formula(args.formula, alphabet)
     print(f"states: {machine.n_states}")
     print(f"reward levels: {' '.join(str(c) for c in machine.output_classes)}")
-    if args.machine:
-        _write(args.machine, automata.serialize(machine))
-        print(f"machine -> {args.machine}")
-    if args.dot:
-        _write(args.dot, automata.export_dot(machine))
-        print(f"dot -> {args.dot}")
-    if not args.machine and not args.dot:
+    outputs = [(name, path, render(machine)) for name, path, render in
+               (("machine", args.machine, automata.serialize), ("dot", args.dot, automata.export_dot))
+               if path is not None]
+    if not outputs:
         sys.stdout.write(automata.serialize(machine))
+    created = []
+    try:
+        for _, path, text in outputs:
+            new = not os.path.lexists(path)
+            _write(path, text)
+            if new:
+                created.append(path)
+    except InputError:
+        for path in created:  # a failed compile leaves no new output path
+            os.remove(path)
+        raise
+    for name, path, _ in outputs:
+        print(f"{name} -> {path}")
     return EXIT_OK
 
 

@@ -149,4 +149,5 @@ def save_params(path, named_params: dict[str, Value], meta: dict | None = None):
     meta_items = sorted((meta or {}).items())
     arrays["__meta__"] = np.array([f"{k}={v}" for k, v in meta_items], dtype=np.str_)
     arrays["__version__"] = np.array([CKPT_VERSION])
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:  # np.savez appends ".npz" to a path name, not to an open file
+        np.savez(fh, **arrays)

@@ -9,7 +9,6 @@ timestamps.
 from __future__ import annotations
 
 import re
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -26,6 +25,11 @@ def check_xml_text(text: str, what: str, error=InputError):
     # XML 1.0 carries no surrogate, no C0 control but tab, LF and CR, and no U+FFFE/U+FFFF
     if bad := re.search("[^\t\n\r -\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]", text):
         raise error(f"{what} holds U+{ord(bad.group()):04X}, which an SVG cannot carry")
+
+
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for SVG character data, ``&`` first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -116,7 +120,7 @@ def svg_curves(groups, title: str = "", window: int = 100) -> str:
     )
     if title:
         parts.append(
-            f'<text x="{WIDTH // 2}" y="18" font-size="13" text-anchor="middle">{escape(title)}</text>'
+            f'<text x="{WIDTH // 2}" y="18" font-size="13" text-anchor="middle">{_escape(title)}</text>'
         )
     for gi, (label, mean, lo, hi) in enumerate(prepared):
         color = COLORS[gi % len(COLORS)]
@@ -132,6 +136,6 @@ def svg_curves(groups, title: str = "", window: int = 100) -> str:
             f'<line x1="{WIDTH - 150}" y1="{ly - 4}" x2="{WIDTH - 126}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="1.6"/>'
         )
-        parts.append(f'<text x="{WIDTH - 120}" y="{ly}" font-size="11">{escape(label)}</text>')
+        parts.append(f'<text x="{WIDTH - 120}" y="{ly}" font-size="11">{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -23,7 +23,6 @@ Seeds are independent workers, and a fixed seed reproduces a run bitwise.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,6 +364,8 @@ def run_experiment(task, agent_kind: str, config: TrainConfig, grid_config: Grid
     """
     seeds = list(config.seeds)
     if jobs > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing only when used
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
             results = list(pool.map(run_single, [task] * len(seeds), [agent_kind] * len(seeds),
                                     [config] * len(seeds), [grid_config] * len(seeds), seeds))

@@ -327,6 +327,33 @@ class TestBadArguments:
         assert message.format(**files) in capsys.readouterr().err
         assert not (files["tmp"] / "o").exists()
 
+    # an empty path is a path no file can have, not a missing option
+    @pytest.mark.parametrize("argv, message", [
+        (["compile", "--formula", "F(a)", "--machine", ""], "cannot write : No such file"),
+        (["compile", "--formula", "F(a)", "--dot", ""], "cannot write : No such file"),
+        (["compile", "--formula", "F(a)", "--machine", "{tmp}/o", "--dot", ""], "cannot write : "),
+        (["train", "--task", "1", "--agent", "rm", "--episodes", "1", "--seeds", "0", "--map", "",
+          "--out", "{tmp}/o"], "cannot read : No such file"),
+        (["ground", "--machine", "{mm}", "--traces", "{traces}", "--epochs", "1", "--map", "",
+          "--out", "{tmp}/o"], "cannot read : No such file"),
+        (["ground", "--machine", "{mm}", "--traces", "{traces}", "--epochs", "1", "--out", ""],
+         "cannot write : No such file"),
+    ])
+    def test_an_empty_path_exits_with_a_message(self, files, capsys, argv, message):
+        listing = sorted(files["tmp"].iterdir())
+        assert main([arg.format(**files) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "mooremachine" not in out
+        assert sorted(files["tmp"].iterdir()) == listing
+
+    def test_a_failed_compile_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "m.txt"
+        argv = ["compile", "--formula", "F(a)", "--machine", str(out), "--dot", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compile_rejects_a_symbol_name_with_whitespace(self, tmp_path, capsys):
         out = tmp_path / "m.mm"
         argv = ["compile", "--formula", "F(a)", "--alphabet", "a,b c", "--machine", str(out)]

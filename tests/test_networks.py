@@ -126,3 +126,9 @@ class TestCheckpoints:
         assign_params(named2, arrays)
         x = rng.random((3, 2))
         assert np.allclose(g(x), g2(x))
+
+    def test_writes_the_path_it_is_given(self, tmp_path):
+        g = Grounder(np.random.default_rng(10), 2, 5)
+        save_params(tmp_path / "ckpt", {"g0": g.params()[0]})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        assert list(load_params(tmp_path / "ckpt")[0]) == ["g0"]
