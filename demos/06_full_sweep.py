@@ -19,7 +19,7 @@ import os
 from rmkit.formulas import TASK_FORMULAS
 from rmkit.gridworld import DEFAULT_CONFIG
 from rmkit.plotting import svg_curves
-from rmkit.training import AGENT_KINDS, WINDOW, TrainConfig, run_experiment
+from rmkit.training import AGENT_KINDS, WINDOW, TrainConfig, run_experiment, run_files
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--out", default="sweep")
@@ -33,15 +33,23 @@ seeds = tuple(int(s) for s in args.seeds.split(","))
 config = TrainConfig(episodes=args.episodes, seeds=seeds)
 os.makedirs(args.out, exist_ok=True)
 
+
+def write(name, text):
+    path = os.path.join(args.out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 for tid in (int(t) for t in args.tasks.split(",")):
     groups = []
     for kind in AGENT_KINDS:
-        result = run_experiment(tid, kind, config, DEFAULT_CONFIG,
-                                out_dir=args.out, jobs=args.jobs)
+        result = run_experiment(tid, kind, config, DEFAULT_CONFIG, jobs=args.jobs)
+        for name, text in run_files(tid, kind, result["curves"]):
+            write(name, text)
         mean_final = sum(result["final"].values()) / len(result["final"])
         print(f"task {tid} {kind:>4}: mean final smoothed return {mean_final:.1f}", flush=True)
         groups.append((kind, list(result["curves"].values())))
-    svg_path = os.path.join(args.out, f"task{tid}_agents.svg")
-    with open(svg_path, "w") as fh:
-        fh.write(svg_curves(groups, title=f"task {tid}: {TASK_FORMULAS[tid]}", window=WINDOW))
+    svg_path = write(f"task{tid}_agents.svg",
+                     svg_curves(groups, title=f"task {tid}: {TASK_FORMULAS[tid]}", window=WINDOW))
     print(f"task {tid}: curves -> {svg_path}", flush=True)

@@ -3,6 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data/spec error.  Every subcommand
 is deterministic: fixed inputs and seeds give bit-identical output files
 (wall-clock timings go to stdout and a sidecar file, never into the CSVs).
+A nonzero exit leaves no new output path, except that an urs oracle
+disagreement keeps its report and timings, to investigate.
 """
 
 from __future__ import annotations
@@ -96,9 +98,37 @@ def _read(path: str) -> str:
             raise InputError(f"cannot read {path}: not UTF-8 text") from None
 
 
-def _write(path: str, text: str):
-    with _file_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+class _Outputs:
+    """A command's output paths: if the ``with`` block around the command raises,
+    every path created through :meth:`mkdir` or :meth:`write` is removed, newest first."""
+
+    def __enter__(self):
+        self.created = []
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for path in reversed(self.created):
+                with contextlib.suppress(OSError):
+                    (os.rmdir if os.path.isdir(path) else os.remove)(path)
+
+    def mkdir(self, path: str):
+        """``os.makedirs(path, exist_ok=True)``; a directory it may create counts as created."""
+        missing, head = [], path
+        while head and not os.path.lexists(head):
+            missing.append(head)
+            head = os.path.dirname(head.rstrip(os.sep))
+        self.created += reversed(missing)
+        with _file_errors(path, "write"):
+            os.makedirs(path, exist_ok=True)
+
+    def write(self, files):
+        """Write each ``(path, text or iterable of text chunks)`` as UTF-8, in order."""
+        for path, text in files:
+            if not os.path.lexists(path):
+                self.created.append(path)  # if the open fails, there is nothing to remove
+            with _file_errors(path, "write"), open(path, "w", encoding="utf-8") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _load_grid(args) -> gridworld.GridConfig:
@@ -107,7 +137,7 @@ def _load_grid(args) -> gridworld.GridConfig:
     return gridworld.DEFAULT_CONFIG
 
 
-def cmd_compile(args) -> int:
+def cmd_compile(args, out: _Outputs) -> int:
     alphabet = tuple(s for s in args.alphabet.split(",") if s)
     machine = compile_formula(args.formula, alphabet)
     print(f"states: {machine.n_states}")
@@ -117,17 +147,7 @@ def cmd_compile(args) -> int:
                if path is not None]
     if not outputs:
         sys.stdout.write(automata.serialize(machine))
-    created = []
-    try:
-        for _, path, text in outputs:
-            new = not os.path.lexists(path)
-            _write(path, text)
-            if new:
-                created.append(path)
-    except InputError:
-        for path in created:  # a failed compile leaves no new output path
-            os.remove(path)
-        raise
+    out.write((path, text) for _, path, text in outputs)
     for name, path, _ in outputs:
         print(f"{name} -> {path}")
     return EXIT_OK
@@ -150,13 +170,11 @@ def _check_jobs(jobs: int):
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
 
-def cmd_urs(args) -> int:
+def cmd_urs(args, out: _Outputs) -> int:
     _check_jobs(args.jobs)
     oracle = _oracle(args.oracle)
     machine = automata.deserialize(_read(args.machine))
     report = shortcuts.find_urs(machine)
-    with _file_errors(args.out, "write"), open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(shortcuts.iter_report_csv(report))
     timing_lines = [
         f"algorithm_seconds = {report.timings['total']:.6f}",
         f"search_levels = {report.levels}",
@@ -181,15 +199,16 @@ def cmd_urs(args) -> int:
         ]
         print(f"oracle ({oracle_spec}): {len(oracle_set)} maps in {oracle_seconds:.4f}s; "
               f"agreement: {agrees}")
-    _write(args.out + ".timings.txt", "\n".join(timing_lines) + "\n")
-    if not agrees:
+    out.write([(args.out, shortcuts.iter_report_csv(report)),
+               (args.out + ".timings.txt", "\n".join(timing_lines) + "\n")])
+    if not agrees:  # a return, not a raise: the files stay, to investigate
         print("oracle disagreement: investigate before trusting the report", file=sys.stderr)
         return EXIT_DATA
     print(f"report -> {args.out}")
     return EXIT_OK
 
 
-def cmd_ground(args) -> int:
+def cmd_ground(args, out: _Outputs) -> int:
     if args.seed < 0 or args.epochs < 1:
         raise UsageError("ground needs --seed >= 0 and --epochs >= 1")
     machine = automata.deserialize(_read(args.machine))
@@ -216,7 +235,7 @@ def cmd_ground(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, out: _Outputs) -> int:
     _check_jobs(args.jobs)
     task, agent = args.task, args.agent
     train_cfg = training.TrainConfig()
@@ -229,17 +248,16 @@ def cmd_train(args) -> int:
         except ValueError:
             raise UsageError(f"--seeds wants comma-separated integers, got {args.seeds!r}") from None
         train_cfg = dataclasses.replace(train_cfg, seeds=seeds)
-    # a task that does not compile, or does not fit the grid, leaves no --out behind
+    # a task that does not compile or fit the grid fails here, before --out or a worker exists
     gridworld.GridWorld(grid, training.resolve_task(task)[1])
-    with _file_errors(args.out, "write"):
-        os.makedirs(args.out, exist_ok=True)  # fails before training, not after it
-        result = training.run_experiment(task, agent, train_cfg, grid, out_dir=args.out,
-                                         jobs=args.jobs)
+    out.mkdir(args.out)  # fails before training, not after it
+    result = training.run_experiment(task, agent, train_cfg, grid, jobs=args.jobs)
     curves = result["curves"]
     svg = plotting.svg_curves([(agent, list(curves.values()))], title=str(task),
                               window=training.WINDOW)
-    svg_path = f"{args.out.rstrip('/')}/{training._slug(str(task))}_{agent}_curve.svg"
-    _write(svg_path, svg)
+    files = training.run_files(task, agent, curves) + [
+        (f"{training._slug(str(task))}_{agent}_curve.svg", svg)]
+    out.write((os.path.join(args.out, name), text) for name, text in files)
     for seed, final in sorted(result["final"].items()):
         print(f"seed {seed}: final smoothed return {final:.2f}")
     print(f"outputs -> {args.out}")
@@ -265,13 +283,13 @@ def _read_returns(path: str) -> list[float]:
     return returns
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args, out: _Outputs) -> int:
     if args.window < 1:
         raise UsageError(f"--window must be at least 1, got {args.window}")
     plotting.check_xml_text(args.title, "--title", UsageError)
     series = [_read_returns(path) for path in args.csv]
     svg = plotting.svg_curves([("returns", series)], title=args.title, window=args.window)
-    _write(args.out, svg)
+    out.write([(args.out, svg)])
     print(f"plot -> {args.out}")
     return EXIT_OK
 
@@ -289,7 +307,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        with _Outputs() as out:
+            return _HANDLERS[args.command](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

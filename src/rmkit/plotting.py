@@ -69,14 +69,16 @@ def svg_curves(groups, title: str = "", window: int = 100) -> str:
     Every series is smoothed with a trailing window; a family of several
     series shows the across-series mean line inside its min/max band.
     """
-    if not groups or all(not series for _, series in groups):
+    if not groups:
         raise InputError("nothing to plot")
     for text in [title] + [label for label, _ in groups]:
         check_xml_text(text, f"plot text {text!r}")
     prepared = []
     for label, series in groups:
-        if not series:
-            raise InputError(f"group {label!r} has no series")
+        lengths = [len(s) for s in series]
+        if 0 in lengths or len(set(lengths)) != 1:
+            raise InputError(f"group {label!r} holds series of lengths {lengths}; "
+                             "all must share one length of at least 1")
         sm = np.stack([smoothed(np.asarray(s, dtype=np.float64), window) for s in series])
         prepared.append((label, sm.mean(axis=0), sm.min(axis=0), sm.max(axis=0)))
     x_max = max(len(mean) - 1 for _, mean, _, _ in prepared)

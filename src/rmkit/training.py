@@ -22,7 +22,6 @@ Seeds are independent workers, and a fixed seed reproduces a run bitwise.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,12 +292,12 @@ def _agent_run(env: GridWorld, features, config: TrainConfig, rng_weights, rng_a
 
 
 def resolve_task(task) -> tuple[str, MooreMachine]:
-    """Accept a task id (1..8) or formula text; returns (formula, machine)."""
-    if isinstance(task, int) or (isinstance(task, str) and task.isdigit()):
-        tid = int(task)
-        if tid not in TASK_FORMULAS:
-            raise InputError(f"task id must be 1..{len(TASK_FORMULAS)}, got {tid}")
-        text = TASK_FORMULAS[tid]
+    """Accept a task id (1..8, an int or ASCII digits) or formula text; returns (formula, machine)."""
+    if isinstance(task, int) or (isinstance(task, str) and task.isascii() and task.isdecimal()):
+        # int() refuses a string of over 4300 digits, which names no task either
+        text = TASK_FORMULAS.get(int(task) if len(str(task)) < 100 else None)
+        if text is None:
+            raise InputError(f"task id must be 1..{len(TASK_FORMULAS)}, got {task}")
     else:
         text = task
     return text, compile_formula(text, TASK_ALPHABET)
@@ -356,11 +355,11 @@ def summary_to_csv(curves: dict[int, list[float]], window: int) -> str:
 
 
 def run_experiment(task, agent_kind: str, config: TrainConfig, grid_config: GridConfig = DEFAULT_CONFIG,
-                   out_dir=None, jobs: int = 1) -> dict:
-    """Train one agent kind over the configured seeds; optionally write CSVs.
+                   jobs: int = 1) -> dict:
+    """Train one agent kind over the configured seeds.
 
-    Returns {"curves": {seed: returns}, "final": {seed: final smoothed mean},
-    "paths": [...]} with deterministic file contents for fixed seeds.
+    Returns {"curves": {seed: returns}, "final": {seed: final smoothed mean}},
+    the same for fixed seeds whatever ``jobs`` is.
     """
     seeds = list(config.seeds)
     if jobs > 1 and len(seeds) > 1:
@@ -373,20 +372,15 @@ def run_experiment(task, agent_kind: str, config: TrainConfig, grid_config: Grid
         results = [run_single(task, agent_kind, config, grid_config, s) for s in seeds]
     curves = {s: r for s, r in zip(seeds, results)}
     final = {s: float(smoothed(r, WINDOW)[-1]) for s, r in curves.items()}
-    paths = []
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        task_tag = str(task).replace(" ", "")
-        for s in seeds:
-            path = os.path.join(out_dir, f"{_slug(task_tag)}_{agent_kind}_seed{s}.csv")
-            with open(path, "w") as fh:
-                fh.write(returns_to_csv(curves[s]))
-            paths.append(path)
-        summary_path = os.path.join(out_dir, f"{_slug(task_tag)}_{agent_kind}_summary.csv")
-        with open(summary_path, "w") as fh:
-            fh.write(summary_to_csv(curves, WINDOW))
-        paths.append(summary_path)
-    return {"curves": curves, "final": final, "paths": paths}
+    return {"curves": curves, "final": final}
+
+
+def run_files(task, agent_kind: str, curves: dict[int, list[float]]) -> list[tuple[str, str]]:
+    """An experiment's output files as (name, text): each seed's returns CSV, then the
+    across-seed summary CSV; the names start with ``_slug(str(task))``."""
+    stem = f"{_slug(str(task))}_{agent_kind}"
+    files = [(f"{stem}_seed{s}.csv", returns_to_csv(r)) for s, r in curves.items()]
+    return files + [(f"{stem}_summary.csv", summary_to_csv(curves, WINDOW))]
 
 
 def _slug(text: str) -> str:

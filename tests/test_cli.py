@@ -1,6 +1,10 @@
+import errno
+import io
+import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_configs, load_params, machines
-from rmkit import automata, gridworld, plotting
+from rmkit import automata, gridworld, plotting, training
 from rmkit.cli import main
 from rmkit.errors import InputError
 from rmkit.formulas import compile_formula
@@ -21,6 +25,11 @@ def task1_machine_file(tmp_path, task_machines):
     path = tmp_path / "task1.mm"
     path.write_text(automata.serialize(task_machines[1]))
     return path
+
+
+def _listing(root) -> list[str]:
+    """Every path under ``root``, relative to it, sorted."""
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
 
 
 def _svg_texts(path) -> list[str]:
@@ -234,6 +243,7 @@ class TestBadArguments:
             rows = "".join(f"{ep},{t},1,0,0,0.0\n" for ep, t in steps)
             (tmp_path / f"{name}.csv").write_text("episode,t,x,y,reward_class,scalar_reward\n" + rows)
         (tmp_path / "ok.csv").write_text("episode,return\n0,1.0\n")
+        (tmp_path / "ok2.csv").write_text("episode,return\n0,1.0\n1,2.0\n")
         (tmp_path / "off.csv").write_text("episode,t,x,y,reward_class,scalar_reward\n0,0,99,-3,0,0.0\n")
         return {"tmp": tmp_path, "mm": task1_machine_file, "traces": traces}
 
@@ -286,6 +296,8 @@ class TestBadArguments:
         ("plot {tmp}/short.csv --out {tmp}/o", 2, _BAD_ROW % ("short", "0")),
         ("plot {tmp}/nan.csv --out {tmp}/o", 2, _BAD_ROW % ("nan", "0,nan")),
         ("plot {tmp}/ep.csv --out {tmp}/o", 2, _BAD_ROW % ("ep", "x,1.0")),
+        ("plot {tmp}/ok.csv {tmp}/ok2.csv --out {tmp}/o", 2,
+         "group 'returns' holds series of lengths [1, 2]"),
         # a non-UTF-8 argument byte arrives as a lone surrogate
         ("plot {tmp}/ok.csv --title a\udcffb --out {tmp}/o", 1, "--title holds U+DCFF"),
         ("plot {tmp}/ok.csv --title a\x01b --out {tmp}/o", 1, "--title holds U+0001"),
@@ -299,6 +311,12 @@ class TestBadArguments:
         ("train --task " + "F(" * 500 + "a" + ")" * 500 + " --agent rm --episodes 1 --out {tmp}/o",
          2, "nested more than 100 deep"),
         ("train --task 9 --agent rm --episodes 1 --out {tmp}/o", 2, "task id must be 1..8, got 9"),
+        # int() refuses over 4300 digits
+        ("train --task " + "1" * 5000 + " --agent rm --episodes 1 --out {tmp}/o", 2,
+         "task id must be 1..8, got 1111"),
+        # digits to str.isdigit, but a task id is ASCII digits only
+        ("train --task \u00b2 --agent rm --out {tmp}/o", 2, "unexpected character '\u00b2'"),
+        ("train --task \u0661 --agent rm --out {tmp}/o", 2, "unexpected character '\u0661'"),
         ("train --task 1 --episodes 1 --out {tmp}/o", 1,
          "the following arguments are required: --agent"),
         ("train --agent rm --episodes 1 --out {tmp}/o", 1,
@@ -323,9 +341,10 @@ class TestBadArguments:
         ("plot {tmp}/latin1 --out {tmp}/o", 2, "cannot read {tmp}/latin1: not UTF-8 text"),
     ])
     def test_exits_with_a_message(self, files, capsys, argv, code, message):
+        listing = _listing(files["tmp"])
         assert main([arg.format(**files) for arg in argv.split()]) == code
         assert message.format(**files) in capsys.readouterr().err
-        assert not (files["tmp"] / "o").exists()
+        assert _listing(files["tmp"]) == listing
 
     # an empty path is a path no file can have, not a missing option
     @pytest.mark.parametrize("argv, message", [
@@ -353,6 +372,55 @@ class TestBadArguments:
         assert main(argv) == 2
         assert f"cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_failed_urs_leaves_no_report(self, tmp_path, task1_machine_file, capsys):
+        (tmp_path / "r.csv.timings.txt").mkdir()
+        listing = _listing(tmp_path)
+        assert main(["urs", "--machine", str(task1_machine_file),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"cannot write {tmp_path}/r.csv.timings.txt: Is a directory" in capsys.readouterr().err
+        assert _listing(tmp_path) == listing
+
+    def test_a_failed_train_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "d" / "1_rm_curve.svg").mkdir(parents=True)
+        listing = _listing(tmp_path)
+        assert main(["train", "--task", "1", "--agent", "rm", "--episodes", "1", "--seeds", "0",
+                     "--out", str(tmp_path / "d")]) == 2
+        assert f"cannot write {tmp_path}/d/1_rm_curve.svg: Is a directory" in capsys.readouterr().err
+        assert _listing(tmp_path) == listing
+
+    @pytest.mark.parametrize("out", ["d", "d/e/f"])
+    def test_a_train_that_cannot_write_its_summary_leaves_no_out(self, tmp_path, monkeypatch,
+                                                                 capsys, out):
+        out = tmp_path / out
+
+        def no_space():
+            assert (out / "1_rm_seed0.csv").read_text().startswith("episode,return\n0,")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            yield
+
+        def full_disk(*args):  # the summary CSV is the last file
+            *seed_files, (summary, _) = real_run_files(*args)
+            return seed_files + [(summary, no_space())]
+
+        real_run_files = training.run_files
+        monkeypatch.setattr(training, "run_files", full_disk)
+        listing = _listing(tmp_path)
+        assert main(["train", "--task", "1", "--agent", "rm", "--episodes", "1", "--seeds", "0",
+                     "--out", str(out)]) == 2
+        assert f"cannot write {out}/1_rm_summary.csv: No space left on device" in (
+            capsys.readouterr().err)
+        assert _listing(tmp_path) == listing
+
+    def test_an_oracle_disagreement_keeps_the_report(self, tmp_path, task1_machine_file, capsys):
+        listing = _listing(tmp_path)
+        assert main(["urs", "--machine", str(task1_machine_file), "--oracle", "bounded:1",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert "agreement: False" in out and "oracle disagreement" in err
+        assert _listing(tmp_path) == sorted(listing + ["r.csv", "r.csv.timings.txt"])
+        assert (tmp_path / "r.csv").read_text().splitlines()[-1].startswith("TOTAL,54,")
+        assert "oracle_agrees = False" in (tmp_path / "r.csv.timings.txt").read_text()
 
     def test_compile_rejects_a_symbol_name_with_whitespace(self, tmp_path, capsys):
         out = tmp_path / "m.mm"
@@ -447,6 +515,16 @@ class TestPlot:
         with pytest.raises(InputError, match=re.escape(bad)):
             plotting.svg_curves([(label, [[0.0, 1.0]])], title=title)
 
+    @pytest.mark.parametrize("series, lengths", [
+        ([[0.0, 1.0], [0.0]], "[2, 1]"),
+        ([[0.0], []], "[1, 0]"),
+        ([[]], "[0]"),
+        ([], "[]"),
+    ])
+    def test_svg_curves_refuses_series_of_unequal_or_zero_length(self, series, lengths):
+        with pytest.raises(InputError, match=re.escape(f"group 'g' holds series of lengths {lengths}")):
+            plotting.svg_curves([("ok", [[1.0, 2.0]]), ("g", series)])
+
     def test_svg_curves_carries_tabs_escapes_and_astral_text(self, tmp_path):
         svg = tmp_path / "p.svg"
         svg.write_text(plotting.svg_curves([("a\t<&>", [[0.0, 1.0]])], title="t\U0001f600\u00e9"),
@@ -536,3 +614,94 @@ _formula_token = st.sampled_from(["F", "G", "X", "U", "(", ")", "&", "|", "!", "
        alphabet=st.sampled_from(["a,b,c,d,e", "a", "a,b", "a,a", "", ",", "s0,s1", "a,,b"]))
 def test_fuzz_compile_formula(tokens, alphabet):
     assert main(["compile", "--formula", "".join(tokens), "--alphabet", alphabet]) in (0, 1, 2)
+
+
+# The CLI contract over generated argv for compile, urs, plot and train: the
+# exit is 0, 1 or 2, no exception escapes main, and a nonzero exit leaves no
+# new path, except an urs oracle disagreement, which keeps its files.  Values
+# mix good ones with empty strings, C0 controls, Python-only whitespace,
+# non-UTF-8 bytes (which os.fsdecode turns into lone surrogates) and huge or
+# negative ints.  No value holds NUL, which no command line can carry, and no
+# path leaves the temporary directory.  Runs stay small: at most 2 episodes,
+# 2 seeds and 1 job.
+_junk = st.one_of(
+    st.just(""),
+    st.text(st.characters(min_codepoint=1, max_codepoint=31), min_size=1, max_size=3),
+    st.sampled_from(["\x85", " ", "\xa0", "a b"]),
+    st.binary(min_size=1, max_size=4).filter(lambda b: b"\0" not in b).map(os.fsdecode),
+    st.integers(-10**30, 10**30).map(str),
+)
+
+
+def _path(*names, junk=True):
+    """A path under the temporary directory: one of ``names``, or a junk name without '/'."""
+    pick = st.sampled_from(names)
+    if junk:
+        pick = st.one_of(pick, _junk.map(lambda s: "o" + s.replace("/", "_")))
+    return pick.map(lambda name: "{tmp}/" + name)
+
+
+# per flag, the values of a run that gets past the flag checks, then values to corrupt it with
+_OUT = (_path("o", "p"), _path("afile/o", "missing/o", "", "adir", junk=False))
+_FLAGS = {
+    "compile": {"--formula": (st.sampled_from(["F(a)", "F(a) & F(b)"]),
+                              st.one_of(st.sampled_from(["G(!a)", "F(z)", "F(a"]), _junk)),
+                "--alphabet": (st.sampled_from(["a,b,c,d,e", "a,b"]), _junk),
+                "--machine": _OUT, "--dot": _OUT},
+    "urs": {"--machine": (_path("m.mm", junk=False), _path("a.csv", "adir", "missing")),
+            "--oracle": (st.sampled_from(["none", "exact", "bounded:1", "bounded:99999999999"]),
+                         _junk.map(lambda s: "bounded:" + s)),
+            "--jobs": (st.sampled_from(["1", "2"]), _junk), "--out": _OUT},
+    "plot": {"--window": (st.sampled_from(["1", "100"]), _junk),
+             "--title": (st.sampled_from(["t", "<a & b>"]), _junk), "--out": _OUT},
+    "train": {"--task": (st.sampled_from(["1", "F(a)", "F(a) & F(b)"]),
+                         st.one_of(st.sampled_from(["9", "\u00b2", "G(!a)", "F(z)"]), _junk)),
+              "--agent": (st.sampled_from(["rm", "nrm", "rnn"]), _junk),
+              "--episodes": (st.sampled_from(["1", "2"]), st.one_of(
+                  st.integers(-10**30, 0).map(str),
+                  _junk.filter(lambda s: not any(ch.isdigit() for ch in s)))),
+              "--seeds": (st.sampled_from(["0", "0,1", "99999999999999999999"]),
+                          st.one_of(st.sampled_from(["0,0", "-1", "0,", "0,1,"]), _junk)),
+              "--jobs": (st.just("1"), st.integers(-10**30, 0).map(str)),
+              "--map": (_path("grid.map", junk=False), _path("a.csv", "missing", "")),
+              "--out": _OUT},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = _FLAGS[command]
+    corrupt = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    if command == "plot":
+        argv += draw(st.lists(_path("a.csv", "b.csv", "c.csv", "m.mm", "missing", junk=False),
+                              min_size=1, max_size=2))
+    for flag, (good, bad) in flags.items():
+        # a corrupted flag may be left out, but not one whose default is a full training run
+        if flag in corrupt and flag not in ("--episodes", "--seeds") and not draw(st.integers(0, 4)):
+            continue
+        argv.append(f"{flag}={draw(bad if flag in corrupt else good)}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_generated_argv_keeps_the_contract(argv):
+    machine = compile_formula("F(a) & F(b)", ("a", "b", "c", "d", "e"))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "m.mm").write_text(automata.serialize(machine))
+        (root / "grid.map").write_text(gridworld.write_map(DEFAULT_CONFIG))
+        for name, n in (("a", 3), ("b", 3), ("c", 2)):
+            (root / f"{name}.csv").write_text(
+                "episode,return\n" + "".join(f"{i},{float(i)!r}\n" for i in range(n)))
+        (root / "afile").write_text("")
+        (root / "adir").mkdir()
+        listing = _listing(root)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([arg.replace("{tmp}", tmp) for arg in argv])
+        assert code in (0, 1, 2)
+        if code and "oracle disagreement" not in err.getvalue():
+            assert _listing(root) == listing, err.getvalue()

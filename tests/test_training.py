@@ -24,6 +24,7 @@ from rmkit.training import (
     resolve_task,
     returns_to_csv,
     run_experiment,
+    run_files,
     run_single,
     sample_action,
     smoothed,
@@ -264,6 +265,12 @@ class TestResolveTask:
         with pytest.raises(InputError):
             resolve_task(9)
 
+    # "²" and "١" are digits to str.isdigit, and int() reads "١" as 1
+    @pytest.mark.parametrize("text", ["²", "\u0661"])
+    def test_an_id_is_ascii_digits_only(self, text):
+        with pytest.raises(InputError, match="unexpected character"):
+            resolve_task(text)
+
 
 class TestRuns:
     def test_bit_reproducible_curves(self):
@@ -345,12 +352,12 @@ class TestRuns:
         with pytest.raises(InputError):
             run_single(1, "dqn", TrainConfig(episodes=1), DEFAULT_CONFIG, 0)
 
-    def test_experiment_writes_deterministic_csvs(self, tmp_path):
+    def test_experiment_writes_deterministic_csvs(self):
         cfg = TrainConfig(episodes=25, seeds=(0, 1))
-        res1 = run_experiment(1, "rm", cfg, DEFAULT_CONFIG, out_dir=tmp_path / "a")
-        res2 = run_experiment(1, "rm", cfg, DEFAULT_CONFIG, out_dir=tmp_path / "b")
-        for p1, p2 in zip(res1["paths"], res2["paths"]):
-            assert open(p1).read() == open(p2).read()
+        files1, files2 = (run_files(1, "rm", run_experiment(1, "rm", cfg, DEFAULT_CONFIG)["curves"])
+                          for _ in range(2))
+        assert [name for name, _ in files1] == ["1_rm_seed0.csv", "1_rm_seed1.csv", "1_rm_summary.csv"]
+        assert files1 == files2
 
     def test_parallel_jobs_match_sequential(self, tmp_path):
         cfg = TrainConfig(episodes=20, seeds=(0, 1))
