@@ -17,8 +17,12 @@ class FormulaSyntaxError(InputError):
     """Formula text does not tokenize/parse; carries the offending position."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message, position)  # args match __init__, so pickling rebuilds it
         self.position = position
+
+    def __str__(self) -> str:
+        message, position = self.args
+        return f"{message} (at position {position})"
 
 
 class UnsupportedConstructError(InputError):

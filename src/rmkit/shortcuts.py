@@ -21,8 +21,12 @@ Three routes are implemented:
   (state-under-x, state-under-alpha(x)) pairs, deduplicated per row over
   its lifetime; extensions are skipped when both sides sit in absorbing
   states (suffixes can never diverge) or when a symbol self-loops both
-  sides (pumping adds nothing).  The frontiers of all rows advance
-  together as boolean arrays, one gather and one scatter per level.
+  sides (pumping adds nothing).  Two loops run that search and give the
+  same results: a class product of at most ``_PY_ROWS`` rows runs one row
+  at a time on Python sets of state pairs (:func:`_row_loop`), where a
+  numpy call would cost more than the work; a larger one advances the
+  frontiers of all rows together as boolean arrays, one gather and one
+  scatter per level (:func:`_level_loop`).
 * :func:`urs_oracle_exact` - per-candidate machine equivalence via
   synchronized-product reachability; the ground truth.
 * :func:`urs_oracle_bounded` - string-semantics brute force over all
@@ -39,7 +43,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -241,6 +245,50 @@ def _level_loop(m: MooreMachine, cand: np.ndarray, skip_absorbing: bool,
     return alive, iterations, peak, level
 
 
+# Class products up to this many rows run on Python sets (_row_loop), larger
+# ones on numpy (_level_loop, with its _product_array).  The crossover lies
+# between 16 and 27 rows; best of 200 on 2 cores, Python 3.11.7, numpy 2.4.6:
+# 4 rows (task 8 over a..e) 80 -> 23 us, 16 rows (task 7 over a..f) 84 -> 72
+# us, 27 rows (task 2 over a..e) 122 -> 160 us, 128 rows (task 4 over a..g)
+# 170 -> 681 us.
+_PY_ROWS = 16
+
+
+def _row_loop(m: MooreMachine, cand: Iterable[Sequence[int]], skip_absorbing: bool,
+              skip_selfloop: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """:func:`_level_loop` one row at a time on Python sets of state pairs.
+
+    Same results, same order.  ``skip_selfloop`` is accepted for the same
+    signature only: a pair that reads back into itself is in the frontier,
+    so it was visited already and the set difference drops it anyway.
+    """
+    columns = tuple(zip(*m.transitions))  # columns[p][q]: the state q reads p into
+    out = m.outputs
+    absorbing = absorbing_states(m) if skip_absorbing else frozenset()
+    q0 = m.initial
+    alive, iterations, peak = [], [], []
+    for alpha in cand:
+        steps = tuple((columns[p], columns[r]) for p, r in enumerate(alpha))
+        fr = {(left[q0], right[q0]) for left, right in steps}
+        vis = set(fr)
+        top, level = len(fr), 1
+        while fr:  # each level visits a new pair, so this ends by level |Q|^2 + 1
+            level += 1
+            new = {(left[u], right[v]) for u, v in fr
+                   if u not in absorbing or v not in absorbing for left, right in steps}
+            new -= vis
+            vis |= new
+            top = max(top, len(new))
+            if any(out[u] != out[v] for u, v in new):
+                break  # died, with its frontier still full
+            fr = new
+        alive.append(not fr)
+        iterations.append(level)
+        peak.append(top)
+    return (np.array(alive, dtype=bool), np.array(iterations, dtype=np.int64),
+            np.array(peak, dtype=np.int64), max(iterations, default=1))
+
+
 def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool = True) -> UrsReport:
     """All renamings alpha with machine == machine-after-alpha, by pruned search.
 
@@ -249,7 +297,10 @@ def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool =
     set cut to the first symbol of each column class (task 1 over ``a``..``h``:
     4 rows for the 186,624 of the product).  A renaming reads its images only
     through their columns, so it shares its class row's frontiers, verdict,
-    level and peak.  The two skips never change the result (they drop
+    level and peak.  A class product of at most ``_PY_ROWS`` rows runs on
+    Python sets, one row at a time (:func:`_row_loop`); a larger one runs on
+    numpy, all rows at once (:func:`_level_loop`).  Both give the same
+    arrays and level count.  The two skips never change the result (they drop
     extensions covered by the absorbing-state and pumping arguments); they
     exist to be toggled off for the pruning-neutrality check.  A level-1
     product over ``_MAX_ROWS`` renamings raises :class:`InputError` before
@@ -266,8 +317,9 @@ def find_urs(m: MooreMachine, skip_absorbing: bool = True, skip_selfloop: bool =
     t_init = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    alive, iterations, peak, levels = _level_loop(m, _product_array(reps), skip_absorbing,
-                                                  skip_selfloop)
+    small = math.prod(len(a) for a in reps) <= _PY_ROWS
+    loop, cand = (_row_loop, itertools.product(*reps)) if small else (_level_loop, _product_array(reps))
+    alive, iterations, peak, levels = loop(m, cand, skip_absorbing, skip_selfloop)
     t_search = time.perf_counter() - t1
 
     return UrsReport(m.alphabet, images, classes, alive, iterations, peak, levels,

@@ -616,14 +616,14 @@ def test_fuzz_compile_formula(tokens, alphabet):
     assert main(["compile", "--formula", "".join(tokens), "--alphabet", alphabet]) in (0, 1, 2)
 
 
-# The CLI contract over generated argv for compile, urs, plot and train: the
-# exit is 0, 1 or 2, no exception escapes main, and a nonzero exit leaves no
-# new path, except an urs oracle disagreement, which keeps its files.  Values
-# mix good ones with empty strings, C0 controls, Python-only whitespace,
-# non-UTF-8 bytes (which os.fsdecode turns into lone surrogates) and huge or
-# negative ints.  No value holds NUL, which no command line can carry, and no
-# path leaves the temporary directory.  Runs stay small: at most 2 episodes,
-# 2 seeds and 1 job.
+# The CLI contract over generated argv for compile, ground, urs, plot and
+# train: the exit is 0, 1 or 2, no exception escapes main, and a nonzero exit
+# leaves no new path, except an urs oracle disagreement, which keeps its
+# files.  Values mix good ones with empty strings, C0 controls, Python-only
+# whitespace, non-UTF-8 bytes (which os.fsdecode turns into lone surrogates)
+# and huge or negative ints.  No value holds NUL, which no command line can
+# carry, and no path leaves the temporary directory.  Runs stay small: at most
+# 2 episodes or 3 epochs on 2 traces, 2 seeds and 1 job.
 _junk = st.one_of(
     st.just(""),
     st.text(st.characters(min_codepoint=1, max_codepoint=31), min_size=1, max_size=3),
@@ -648,6 +648,14 @@ _FLAGS = {
                               st.one_of(st.sampled_from(["G(!a)", "F(z)", "F(a"]), _junk)),
                 "--alphabet": (st.sampled_from(["a,b,c,d,e", "a,b"]), _junk),
                 "--machine": _OUT, "--dot": _OUT},
+    "ground": {"--machine": (_path("m.mm", junk=False), _path("a.csv", "adir", "missing")),
+               "--traces": (_path("t.csv", junk=False), _path("a.csv", "m.mm", "adir", "missing")),
+               "--map": (_path("grid.map", junk=False), _path("a.csv", "missing", "")),
+               "--epochs": (st.sampled_from(["1", "3"]), st.one_of(
+                   st.integers(-10**30, 0).map(str),
+                   _junk.filter(lambda s: not any(ch.isdigit() for ch in s)))),
+               "--seed": (st.sampled_from(["0", "99999999999999999999"]), _junk),
+               "--out": _OUT},
     "urs": {"--machine": (_path("m.mm", junk=False), _path("a.csv", "adir", "missing")),
             "--oracle": (st.sampled_from(["none", "exact", "bounded:1", "bounded:99999999999"]),
                          _junk.map(lambda s: "bounded:" + s)),
@@ -679,13 +687,14 @@ def _argv(draw):
                               min_size=1, max_size=2))
     for flag, (good, bad) in flags.items():
         # a corrupted flag may be left out, but not one whose default is a full training run
-        if flag in corrupt and flag not in ("--episodes", "--seeds") and not draw(st.integers(0, 4)):
+        if (flag in corrupt and flag not in ("--episodes", "--seeds", "--epochs")
+                and not draw(st.integers(0, 4))):
             continue
         argv.append(f"{flag}={draw(bad if flag in corrupt else good)}")
     return argv
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=190, deadline=None, derandomize=True)
 @given(argv=_argv())
 def test_generated_argv_keeps_the_contract(argv):
     machine = compile_formula("F(a) & F(b)", ("a", "b", "c", "d", "e"))
@@ -693,6 +702,7 @@ def test_generated_argv_keeps_the_contract(argv):
         root = Path(tmp)
         (root / "m.mm").write_text(automata.serialize(machine))
         (root / "grid.map").write_text(gridworld.write_map(DEFAULT_CONFIG))
+        (root / "t.csv").write_text(traces_to_csv(synth_dataset(DEFAULT_CONFIG, machine, n=2)))
         for name, n in (("a", 3), ("b", 3), ("c", 2)):
             (root / f"{name}.csv").write_text(
                 "episode,return\n" + "".join(f"{i},{float(i)!r}\n" for i in range(n)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    TASK_FORMULAS,
     TASK_URS_COUNTS,
     full_table_urs,
     per_renaming,
@@ -266,13 +267,16 @@ class TestColumnClasses:
     def test_the_loop_runs_on_class_rows_and_the_reference_on_every_row(
             self, compile_formula, monkeypatch):
         rows = []
-        level_loop = shortcuts._level_loop
 
-        def counting(m, cand, *skips):
-            rows.append(len(cand))
-            return level_loop(m, cand, *skips)
+        def counting(loop):
+            def count(m, cand, *skips):
+                cand = list(cand)
+                rows.append(len(cand))
+                return loop(m, np.array(cand, dtype=np.int64), *skips)
+            return count
 
-        monkeypatch.setattr(shortcuts, "_level_loop", counting)
+        for name in ("_level_loop", "_row_loop"):  # the rows that reach either loop
+            monkeypatch.setattr(shortcuts, name, counting(getattr(shortcuts, name)))
         # task 1 over a..h: {a}, {b} and {c..h} are its column classes
         report = find_urs(compile_formula("F(a) & F(b)", tuple("abcdefgh")))
         assert rows == [4]
@@ -300,6 +304,35 @@ class TestColumnClasses:
             report = find_urs(m)
             assert type(report.count) is int
             assert report.count == len(report.survivors()) == int(per_renaming(report).survived.sum())
+
+
+def _class_rows(m: MooreMachine) -> list[tuple[int, ...]]:
+    """Per symbol, its level-1 images cut to one per column class, as find_urs searches them."""
+    rep = shortcuts._column_reps(m)
+    return [tuple(r for r in a if rep[r] == r) for a in shortcuts._level1_images(m)]
+
+
+class TestRowLoop:
+    @pytest.mark.parametrize("skip_absorbing, skip_selfloop",
+                             itertools.product((True, False), repeat=2))
+    def test_matches_the_level_loop_on_the_class_rows(self, skip_absorbing, skip_selfloop):
+        rng = np.random.default_rng(107)
+        machines = [compile_formula(text, tuple("abcdefghi"[:k]))
+                    for k in range(4, 10) for text in TASK_FORMULAS.values()]
+        machines += [random_machine(rng, max_states=6, max_symbols=6, minimized=i % 2 == 0)
+                     for i in range(60)]
+        machines += [repeated_column_machine(rng, minimized=i % 2 == 0) for i in range(60)]
+        small = set()
+        for m in machines:
+            reps = _class_rows(m)
+            want = shortcuts._level_loop(m, shortcuts._product_array(reps), skip_absorbing,
+                                         skip_selfloop)
+            got = shortcuts._row_loop(m, itertools.product(*reps), skip_absorbing, skip_selfloop)
+            for field, g, w in zip(("survived", "iterations", "peak_pairs"), got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), field
+            assert got[3] == want[3]
+            small.add(math.prod(len(a) for a in reps) <= shortcuts._PY_ROWS)
+        assert small == {True, False}  # class-row counts on both sides of the switch
 
 
 class TestBoundedOracle:

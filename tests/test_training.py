@@ -10,7 +10,7 @@ from helpers import (
     numeric_grad,
 )
 from rmkit.diffkit import Value
-from rmkit.errors import InputError, NumericsError
+from rmkit.errors import FormulaSyntaxError, InputError, NumericsError
 from rmkit.gridworld import DEFAULT_CONFIG, GridWorld, EpisodeTrace
 from rmkit.networks import augment_input
 from rmkit.nrm import MachineStateTracker, params_from_machine
@@ -364,6 +364,10 @@ class TestRuns:
         seq = run_experiment(1, "rm", cfg, DEFAULT_CONFIG)
         par = run_experiment(1, "rm", cfg, DEFAULT_CONFIG, jobs=2)
         assert seq["curves"] == par["curves"]
+
+    def test_a_worker_error_reaches_the_caller(self):
+        with pytest.raises(FormulaSyntaxError):
+            run_experiment("F(", "rm", TrainConfig(episodes=1, seeds=(0, 1)), DEFAULT_CONFIG, jobs=2)
 
 
 class TestSmoothing:
