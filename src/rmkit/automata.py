@@ -357,7 +357,8 @@ def deserialize(text: str) -> MooreMachine:
 
 
 def export_dot(m: MooreMachine) -> str:
-    """GraphViz rendering: one node per state (id:label), parallel edges merged."""
+    """GraphViz rendering: one node per state (id:label), parallel edges merged
+    under one label of comma-joined symbol names, with ``"`` and ``\\`` escaped."""
     top = len(m.output_classes) - 1
     lines = ["digraph moore {", "  rankdir=LR;", '  start [shape=point, label=""];']
     for q in m.states:
@@ -369,7 +370,7 @@ def export_dot(m: MooreMachine) -> str:
         for p, t in enumerate(m.transitions[q]):
             by_target.setdefault(t, []).append(m.alphabet[p])
         for t in sorted(by_target):
-            label = ",".join(by_target[t])
+            label = ",".join(by_target[t]).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  q{q} -> q{t} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

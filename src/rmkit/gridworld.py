@@ -262,13 +262,13 @@ def make_eps_optimal_policy(config: GridConfig, machine: MooreMachine, eps: floa
 
 
 def synth_dataset(config: GridConfig, machine: MooreMachine, policy: str = "mixture",
-                  n: int = 500, seed: int = 0, eps: float = 0.2) -> list[EpisodeTrace]:
-    """Generate episodes under a named policy: random, eps-optimal, or mixture."""
+                  n: int = 500, seed: int = 0) -> list[EpisodeTrace]:
+    """Generate episodes under a named policy: random, eps-optimal (eps 0.2), or mixture."""
     if policy not in ("random", "eps-optimal", "mixture"):
         raise InputError(f"unknown policy {policy!r}")
     rng = np.random.default_rng(seed)
     env = GridWorld(config, machine)
-    greedy = make_eps_optimal_policy(config, machine, eps) if policy != "random" else None
+    greedy = make_eps_optimal_policy(config, machine) if policy != "random" else None
     traces = []
     for i in range(n):
         if policy == "random" or (policy == "mixture" and i % 2 == 0):

@@ -3,11 +3,13 @@
 The machine is carried as dense tensors: a transition stack ``Mt`` of shape
 ``[P, Q, Q]``, a reward matrix ``Mr`` of shape ``[Q, R]`` and a one-hot
 initial state row.  A grounder maps raw environment states to probability
-rows over the symbol alphabet, and the recurrence
+rows p(t) over the symbol alphabet, and the recurrence
 
-    q(t) = sum_i p(t)[i] * (q(t-1) @ Mt[i]),   r(t) = q(t) @ Mr
+    A(t) = (p(t) @ Mt.reshape(P, Q * Q)).reshape(Q, Q),   q(t) = q(t-1) @ A(t)
 
-pushes those probabilities through the machine.  With machine tensors
+pushes those probabilities through the machine, with rewards r(t) = q(t) @ Mr.
+The graph of :func:`forward_batch`, :class:`_GroupFit` and the agent's
+:class:`MachineStateTracker` all run it in that one form.  With machine tensors
 frozen from a known machine (exact one-hot rows) the recurrence reproduces
 the exact automaton whenever the grounder is one-hot; with learnable
 tensors the rows pass through a temperature softmax so annealing drives
@@ -164,13 +166,11 @@ def forward_batch(params: ProbMachineParams, grounder, xs) -> ProbTraces:
 class MachineStateTracker:
     """Incremental, graph-free state-probability updates over a frozen machine.
 
-    ``rows`` keeps the grounder's probability row per observation (keyed by
-    its bytes), so each distinct observation runs the grounder once.  The
-    rows are only valid for the grounder's current weights: whoever refits
-    the grounder clears them, as the nrm agent does after each refit.  With
-    a refit every ``GROUNDER_PERIOD`` episodes the memo holds at most
-    ``GROUNDER_PERIOD * t_max`` rows, ``t_max`` being the episode step limit
-    (and never more than the grid's cells).
+    :meth:`step` is :class:`_GroupFit`'s recurrence for one row: the step matrix
+    ``A = (g(x) @ M_flat).reshape(Q, Q)``, then ``q = q @ A``.  ``rows`` keeps
+    ``A`` per observation (keyed by its bytes), so each distinct observation runs
+    the grounder once, until :meth:`refit` changes its weights and clears them:
+    at most ``GROUNDER_PERIOD * t_max`` matrices, never more than the grid's cells.
     """
 
     def __init__(self, params: ProbMachineParams, grounder):
@@ -178,6 +178,7 @@ class MachineStateTracker:
             raise InputError("MachineStateTracker expects a frozen (knowledge-initialized) machine")
         self.params = params
         self.grounder = grounder
+        self.m_flat = params.mt.data.reshape(params.mt.shape[0], -1)
         self.rows: dict[bytes, np.ndarray] = {}
         self.q = params.q0.copy()
 
@@ -186,13 +187,18 @@ class MachineStateTracker:
         return self.q.copy()
 
     def step(self, state_vec: np.ndarray) -> np.ndarray:
-        x = np.asarray(state_vec, float)
-        key = x.tobytes()
-        probs = self.rows.get(key)
-        if probs is None:
-            probs = self.rows[key] = self.grounder(x[np.newaxis, :])[0]
-        self.q = np.einsum("i,q,iqo->o", probs, self.q, self.params.mt.data)
+        x = np.asarray(state_vec, float)[np.newaxis]
+        a = self.rows.get(x.tobytes())
+        if a is None:
+            a = self.rows[x.tobytes()] = (self.grounder(x)[0] @ self.m_flat).reshape(self.q.size, -1)
+        self.q = self.q @ a
         return self.q.copy()
+
+    def refit(self, dataset, optimizer: Adam, rng: np.random.Generator) -> int:
+        """:func:`train_grounder` on ``dataset``, then drop the stale step matrices; the epochs run."""
+        epochs = train_grounder(self.params, self.grounder, dataset, optimizer=optimizer, rng=rng)
+        self.rows.clear()
+        return epochs
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +366,7 @@ def train_grounder(params: ProbMachineParams, grounder, dataset, epochs: int = 1
 
 
 def pure_learning(dataset, n_states: int, alphabet, output_classes, epochs: int = 200,
-                  seed: int = 0, tau_schedule=default_tau_schedule
-                  ) -> tuple[ProbMachineParams, OneHotGrounder]:
+                  seed: int = 0) -> tuple[ProbMachineParams, OneHotGrounder]:
     """Learn machine tensors from traces of one-hot symbol rows alone.
 
     The temperature anneals per epoch so the softmaxed rows harden toward a
@@ -372,12 +377,12 @@ def pure_learning(dataset, n_states: int, alphabet, output_classes, epochs: int 
     if not dataset:
         raise InputError("pure learning needs nonempty traces")
     rng = np.random.default_rng(seed)
-    params = random_params(rng, alphabet, output_classes, n_states, tau=tau_schedule(0))
+    params = random_params(rng, alphabet, output_classes, n_states, tau=default_tau_schedule(0))
     grounder = OneHotGrounder(len(params.alphabet))
     optimizer = Adam(params.trainable_params(), lr=PURE_LEARNING_LR)
     fits = [_GroupFit(params, xs, ys) for xs, ys in _grouped_by_length(dataset)]
     for epoch in range(epochs):
-        params.tau = tau_schedule(epoch)
+        params.tau = default_tau_schedule(epoch)
         for gi in rng.permutation(len(fits)):
             fits[gi].step(grounder, optimizer)
     return params, grounder
@@ -385,12 +390,9 @@ def pure_learning(dataset, n_states: int, alphabet, output_classes, epochs: int 
 
 def extract_machine(params: ProbMachineParams) -> MooreMachine:
     """Argmax discretization of the machine tensors (ties break low)."""
-    mt = params.mt.data
-    mr = params.mr.data
-    transitions = tuple(
-        tuple(int(mt[p, q].argmax()) for p in range(len(params.alphabet)))
-        for q in range(params.n_states)
-    )
+    mt, mr = params.mt.data, params.mr.data
+    transitions = tuple(tuple(int(mt[p, q].argmax()) for p in range(len(params.alphabet)))
+                        for q in range(params.n_states))
     outputs = tuple(int(mr[q].argmax()) for q in range(params.n_states))
     return MooreMachine(params.alphabet, transitions, outputs, params.output_classes,
                         int(params.q0.argmax()))

@@ -68,9 +68,18 @@ def apply_map(alpha: Sequence[int], x: Sequence[int]) -> tuple[int, ...]:
 
 
 def format_map(alpha: Sequence[int], alphabet: Sequence[str]) -> str:
-    names = [alphabet[a] for a in alpha]
-    sep = "" if all(len(n) == 1 for n in names) else ","
-    return sep.join(names)
+    """alpha's images by name: run together when every name in ``alphabet`` is one
+    character, else comma-separated, so one alphabet always gives one form."""
+    return _separator(alphabet).join(alphabet[a] for a in alpha)
+
+
+def _separator(alphabet: Sequence[str]) -> str:
+    return "" if all(len(n) == 1 for n in alphabet) else ","
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one RFC 4180 field: quoted, with ``"`` doubled, if it holds ``,`` or ``"``."""
+    return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
 
 
 def enumerate_maps(n_symbols: int) -> Iterator[tuple[int, ...]]:
@@ -393,12 +402,16 @@ def iter_report_csv(report: UrsReport) -> Iterator[str]:
     """Deterministic CSV in blocks of ``_BLOCK_ROWS`` rows: one row per level-1
     product renaming (lexicographic) with its class row's outcome, then a TOTAL row.
 
-    A renaming with no row died at level 1.  Wall-times are deliberately
-    excluded; identical inputs must yield bit-identical files.
+    The alpha field is :func:`format_map`'s text, quoted (RFC 4180) when it
+    holds ``,`` or ``"``.  A renaming with no row died at level 1.  Wall-times
+    are deliberately excluded; identical inputs must yield bit-identical files.
     """
     yield "alpha,survived,iterations\n"
+    names, sep = report.alphabet, _separator(report.alphabet)
+    # rows need the quoting check only if some renaming's text can hold ',' or '"'
+    field = _csv_field if any(ch in sep.join(names) for ch in ',"') else str
     tails = [f",{int(alive)},{level}\n" for alive, level in zip(report.survived, report.iterations.tolist())]
     for rows, index in report.blocks():
-        yield "".join(format_map(alpha, report.alphabet) + tails[c]
+        yield "".join(field(sep.join([names[a] for a in alpha])) + tails[c]
                       for alpha, c in zip(rows.tolist(), index.tolist()))
     yield f"TOTAL,{report.count},{report.levels}\n"

@@ -6,10 +6,10 @@ that the actor and critic read:
 
 * ``rm``  - the exact machine state (one-hot), via the ground-truth labeler;
   the upper bound.
-* ``nrm`` - the probabilistic machine state computed by a learned grounder
-  against the frozen task machine; every ``GROUNDER_PERIOD`` episodes the
-  grounder is refit on a curated buffer of recorded episodes (recent ones
-  plus the best seen), using reward classes as the only supervision.
+* ``nrm`` - the probabilistic machine state that a :class:`MachineStateTracker`
+  computes through a learned grounder against the frozen task machine; every
+  ``GROUNDER_PERIOD`` episodes the tracker refits the grounder on a buffer of
+  recent and best-return episodes, with reward classes as the only supervision.
 * ``rnn`` - no machine knowledge at all; a stacked LSTM summarizes the
   observation history and the actor/critic read its hidden state.
 
@@ -33,7 +33,7 @@ from .errors import InputError, NumericsError
 from .formulas import TASK_ALPHABET, TASK_FORMULAS, compile_formula
 from .gridworld import ACTIONS, DEFAULT_CONFIG, EpisodeTrace, GridConfig, GridWorld
 from .networks import LSTM, MLP, Grounder, augment_input
-from .nrm import MachineStateTracker, params_from_machine, train_grounder
+from .nrm import MachineStateTracker, params_from_machine
 
 AGENT_KINDS = ("rm", "nrm", "rnn")
 
@@ -240,18 +240,15 @@ class _LSTMFeatures:
 
 
 def _grounder_refit(grid: GridConfig, tracker: MachineStateTracker, rng):
-    """The nrm agent's end-of-episode hook: buffer the episode, refit the
-    tracker's grounder periodically and drop the rows the tracker kept."""
-    buffer = GrounderBuffer()
-    optimizer = Adam(tracker.grounder.params())
+    """The nrm agent's end-of-episode hook: buffer the episode and refit the
+    tracker's grounder every ``GROUNDER_PERIOD`` episodes."""
+    buffer, optimizer = GrounderBuffer(), Adam(tracker.grounder.params())
 
     def end_episode(episode: int, steps, total: float):
         cells, classes, rewards = zip(*steps)
         buffer.add(episode, EpisodeTrace.from_steps(grid, cells, classes, rewards, total))
         if (episode + 1) % GROUNDER_PERIOD == 0:
-            train_grounder(tracker.params, tracker.grounder, buffer.dataset(), optimizer=optimizer,
-                           rng=rng)
-            tracker.rows.clear()
+            tracker.refit(buffer.dataset(), optimizer, rng)
 
     return end_episode
 

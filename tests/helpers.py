@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,22 +219,40 @@ def full_table_urs(m: MooreMachine, skip_absorbing=True,
     row and gives each renaming its class row's outcome: here all |P|^|P|
     rows are filtered by their length-1 strings and every one of the rest
     enters the level loop.  The CSV lists in lexicographic order every
-    renaming that did not die at level 1, each with its own verdict.
+    renaming that did not die at level 1, each with its own verdict, through
+    ``csv.writer``, which quotes an alpha field that holds ``,`` or ``"``.
     """
     cand = np.array(list(shortcuts.enumerate_maps(len(m.alphabet))), dtype=np.int64)
     # a renaming dies at level 1 when a symbol's first output differs from its image's
     first = np.array([m.outputs[q] for q in m.transitions[m.initial]])
     cand = cand[(first[cand] == first).all(axis=1)]
     alive, iterations, peak, levels = shortcuts._level_loop(m, cand, skip_absorbing, skip_selfloop)
-    lines = ["alpha,survived,iterations"]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["alpha", "survived", "iterations"])
     for alpha, ok, level in zip(cand, alive, iterations):
-        lines.append(f"{shortcuts.format_map(alpha, m.alphabet)},{int(ok)},{int(level)}")
-    lines.append(f"TOTAL,{int(alive.sum())},{levels}")
-    return RowReport(cand, alive, iterations, peak, levels), "\n".join(lines) + "\n"
+        writer.writerow([shortcuts.format_map(alpha, m.alphabet), int(ok), int(level)])
+    writer.writerow(["TOTAL", int(alive.sum()), levels])
+    return RowReport(cand, alive, iterations, peak, levels), text.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # references and inverses that only tests need
+
+
+_DOT_LINE = re.compile(r'  \w+(?: -> \w+)? \[(?:shape=\w+, )?label="((?:[^"\\]|\\.)*)"\];')
+
+
+def dot_labels(dot: str) -> list[str]:
+    """The unescaped label of every line of an ``export_dot`` text that has one.
+    A label that is not one well-formed DOT quoted string fails an assertion."""
+    labels = []
+    for line in dot.splitlines():
+        if "label=" in line:
+            match = _DOT_LINE.fullmatch(line)
+            assert match, f"malformed DOT label line {line!r}"
+            labels.append(re.sub(r"\\(.)", r"\1", match.group(1)))
+    return labels
 
 
 def reconstruct_reward_classes(scalar_rewards, machine: MooreMachine) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_strings,
+    dot_labels,
     machines,
     outputs_on,
     random_machine,
@@ -323,6 +324,11 @@ class TestSerialization:
         assert dot.count("shape=doublecircle") == 1
         assert 'q0 -> q1 [label="a"]' in dot
         assert 'q0 -> q0 [label="b"]' in dot
+
+    def test_dot_labels_escape_quotes_and_backslashes(self):
+        dot = export_dot(shape_rewards(visit_a_machine(("a", '"x', "y\\"))))
+        assert 'q0 -> q0 [label="\\"x,y\\\\"];' in dot
+        assert dot_labels(dot) == ["", "0:0", "1:1", '"x,y\\', "a", 'a,"x,y\\']
 
 
 class TestCanonicalForm:

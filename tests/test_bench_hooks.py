@@ -84,3 +84,36 @@ def test_tracer_reads_the_urs_report():
     assert tracer.counts["shortcuts.survivors_n"] == 54
     assert tracer.counts["shortcuts.levels"] == 3
     assert tracer.counts["shortcuts.peak_pairs_max"] == 3
+
+
+def test_tracer_sees_the_nrm_tracker_and_its_refit():
+    """One traced nrm run over one grounder period: every env step makes one
+    ``nrm.tracker_step`` span, and the one refit an ``nrm.refit`` span whose
+    dataset and epochs reach the tracer's refit hook.  So a refactor of the
+    tracker or the refit cannot leave those readings at 0 unnoticed."""
+    from rmkit import training
+    from rmkit.gridworld import DEFAULT_CONFIG
+
+    tracer = tracing.Tracer()
+    epochs, after_refit = [], tracer._after_refit
+
+    def reading(idx, args, kwargs, result):
+        epochs.append(result)
+        after_refit(idx, args, kwargs, result)
+
+    tracer._after_refit = reading
+    config = training.TrainConfig(episodes=training.GROUNDER_PERIOD)
+    tracer.install()
+    try:
+        training.run_single(1, "nrm", config, DEFAULT_CONFIG, 0)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(0.0, {})
+    steps = metrics["gridworld.step_n"]["value"]
+    assert steps > 0 and metrics["nrm.tracker_step_n"]["value"] == steps
+    assert metrics["nrm.tracker_step_s"]["value"] > 0
+    assert metrics["nrm.refit_n"]["value"] == 1 and metrics["nrm.refit_s"]["value"] > 0
+    (refit,) = (span for span in tracer.spans if span[0] == "nrm.refit")
+    assert tracer.spans[refit[3]][0] == "training.run"
+    assert len(epochs) == 1 and 1 <= epochs[0] <= 100
+    assert "nrm.refit_epochs" in tracer.counts  # the hook read the refit's dataset

@@ -1,3 +1,4 @@
+import csv
 import errno
 import io
 import os
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_configs, load_params, machines
-from rmkit import automata, gridworld, plotting, training
+from helpers import dot_labels, grid_configs, load_params, machines
+from rmkit import automata, cli, gridworld, plotting, training
 from rmkit.cli import main
 from rmkit.errors import InputError
 from rmkit.formulas import compile_formula
@@ -619,7 +620,10 @@ def test_fuzz_compile_formula(tokens, alphabet):
 # The CLI contract over generated argv for compile, ground, urs, plot and
 # train: the exit is 0, 1 or 2, no exception escapes main, and a nonzero exit
 # leaves no new path, except an urs oracle disagreement, which keeps its
-# files.  Values mix good ones with empty strings, C0 controls, Python-only
+# files.  An exit 0 leaves only files that parse: machines, DOT, CSVs with
+# their headers and field counts, SVG and checkpoints.  Good values include
+# symbol names of several characters and names holding '"', ',' and '\'.
+# Values mix good ones with empty strings, C0 controls, Python-only
 # whitespace, non-UTF-8 bytes (which os.fsdecode turns into lone surrogates)
 # and huge or negative ints.  No value holds NUL, which no command line can
 # carry, and no path leaves the temporary directory.  Runs stay small: at most
@@ -646,7 +650,8 @@ _OUT = (_path("o", "p"), _path("afile/o", "missing/o", "", "adir", junk=False))
 _FLAGS = {
     "compile": {"--formula": (st.sampled_from(["F(a)", "F(a) & F(b)"]),
                               st.one_of(st.sampled_from(["G(!a)", "F(z)", "F(a"]), _junk)),
-                "--alphabet": (st.sampled_from(["a,b,c,d,e", "a,b"]), _junk),
+                "--alphabet": (st.sampled_from(["a,b,c,d,e", "a,b", "a,bb,b,cc", 'a,b,"x,y\\']),
+                               _junk),
                 "--machine": _OUT, "--dot": _OUT},
     "ground": {"--machine": (_path("m.mm", junk=False), _path("a.csv", "adir", "missing")),
                "--traces": (_path("t.csv", junk=False), _path("a.csv", "m.mm", "adir", "missing")),
@@ -656,7 +661,7 @@ _FLAGS = {
                    _junk.filter(lambda s: not any(ch.isdigit() for ch in s)))),
                "--seed": (st.sampled_from(["0", "99999999999999999999"]), _junk),
                "--out": _OUT},
-    "urs": {"--machine": (_path("m.mm", junk=False), _path("a.csv", "adir", "missing")),
+    "urs": {"--machine": (_path("m.mm", "n.mm", junk=False), _path("a.csv", "adir", "missing")),
             "--oracle": (st.sampled_from(["none", "exact", "bounded:1", "bounded:99999999999"]),
                          _junk.map(lambda s: "bounded:" + s)),
             "--jobs": (st.sampled_from(["1", "2"]), _junk), "--out": _OUT},
@@ -694,13 +699,62 @@ def _argv(draw):
     return argv
 
 
+def _named_outputs(argv) -> dict[str, str]:
+    """Each output path a run's flags name, with the kind of file it holds: the
+    last flag naming a path wins, as the last write does."""
+    flags = dict(arg.split("=", 1) for arg in argv[1:] if arg.startswith("--"))
+    command, out = argv[0], flags.get("--out")
+    if command == "compile":
+        return {flags[flag]: flag[2:] for flag in ("--machine", "--dot") if flag in flags}
+    if command == "urs":
+        return {out: "urs", out + ".timings.txt": "timings"}
+    if command == "train":
+        suffixes = {".svg": "svg", "_summary.csv": "summary", ".csv": "returns"}
+        return {os.path.join(out, name): next(kind for end, kind in suffixes.items()
+                                              if name.endswith(end))
+                for name in os.listdir(out)}
+    return {out: {"ground": "checkpoint", "plot": "svg"}[command]}
+
+
+def _check_parses(path: str, kind: str):
+    """``path`` parses as a file of its ``kind``."""
+    text = "" if kind in ("svg", "checkpoint") else Path(path).read_text(encoding="utf-8")
+    if kind == "machine":
+        assert automata.serialize(automata.deserialize(text)) == text
+    elif kind == "dot":
+        assert text.startswith("digraph moore {\n") and dot_labels(text)
+    elif kind == "svg":
+        assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+    elif kind == "checkpoint":
+        params, meta = load_params(path)
+        assert params and meta["kind"] == "grounder"
+    elif kind == "returns":
+        assert cli._read_returns(path)
+    elif kind == "timings":
+        assert all(re.fullmatch(r"\w+ = \S+", line) for line in text.splitlines())
+    else:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        width = {"urs": 3, "summary": 4}[kind]
+        assert header == (["alpha", "survived", "iterations"] if kind == "urs"
+                          else ["episode", "mean", "min", "max"])
+        assert rows and all(len(row) == width for row in rows), text
+        if kind == "urs":
+            assert rows[-1][0] == "TOTAL" and all(row[0] != "TOTAL" for row in rows[:-1])
+        else:
+            assert all(float(value) == float(value) for row in rows for value in row)
+
+
 @settings(max_examples=190, deadline=None, derandomize=True)
 @given(argv=_argv())
 def test_generated_argv_keeps_the_contract(argv):
+    """Also, after exit 0, every new file parses as what the flag that named it asks for."""
     machine = compile_formula("F(a) & F(b)", ("a", "b", "c", "d", "e"))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "m.mm").write_text(automata.serialize(machine))
+        # symbol names that a machine file can hold and a CSV or DOT field must escape
+        names = ("a", "bb", '"x', "c,d", "e\\")
+        (root / "n.mm").write_text(automata.serialize(compile_formula("F(a) & F(bb)", names)))
         (root / "grid.map").write_text(gridworld.write_map(DEFAULT_CONFIG))
         (root / "t.csv").write_text(traces_to_csv(synth_dataset(DEFAULT_CONFIG, machine, n=2)))
         for name, n in (("a", 3), ("b", 3), ("c", 2)):
@@ -715,3 +769,9 @@ def test_generated_argv_keeps_the_contract(argv):
         assert code in (0, 1, 2)
         if code and "oracle disagreement" not in err.getvalue():
             assert _listing(root) == listing, err.getvalue()
+        if code == 0:
+            named = _named_outputs([arg.replace("{tmp}", tmp) for arg in argv])
+            for path in (str(root / p) for p in _listing(root) if p not in listing):
+                if not os.path.isdir(path):
+                    assert path in named, f"{path} is new, but no flag names it"
+                    _check_parses(path, named[path])

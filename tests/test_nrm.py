@@ -144,6 +144,41 @@ class TestForwardExactness:
         stepped = np.stack([tracker.step(x) for x in xs])
         assert np.allclose(stepped, forward(params, g, xs).states.data)
 
+    def test_tracker_keeps_the_group_fit_step_matrix_per_observation(self):
+        """``rows`` holds, per distinct observation, the A(t) that _GroupFit builds for it."""
+        rng = np.random.default_rng(5)
+        m = random_machine(rng, max_states=4, max_symbols=3)
+        params = params_from_machine(m)
+        g = Grounder(rng, 2, len(m.alphabet))
+        xs = rng.random((3, 2))[[0, 1, 0, 2, 1]]
+        tracker = MachineStateTracker(params, g)
+        for x in xs:
+            tracker.step(x)
+        assert len(tracker.rows) == 3
+        fit = nrm._GroupFit(params, xs[np.newaxis], np.zeros((1, len(xs)), dtype=np.int64))
+        fit.loss(g)  # writes every step's A(t) into fit.a4
+        for x, a in zip(xs, fit.a4[0]):
+            assert np.allclose(tracker.rows[x.tobytes()], a, rtol=0, atol=1e-15)
+
+    def test_tracker_refit_trains_the_grounder_and_clears_the_memo(self):
+        m = shape_rewards(visit_a_machine(("a", "b")))
+        params = params_from_machine(m)
+        dataset = traces_from_strings(m, [(0, 1), (1, 1, 0), (1,), (1, 0, 0, 1)])
+        tracker = MachineStateTracker(params, Grounder(np.random.default_rng(3), 2, 2, hidden=8))
+        twin = Grounder(np.random.default_rng(3), 2, 2, hidden=8)
+        x = np.array([0.0, 1.0])
+        tracker.step(x)
+        epochs = tracker.refit(dataset, Adam(tracker.grounder.params()), np.random.default_rng(4))
+        assert epochs == train_grounder(params, twin, dataset, optimizer=Adam(twin.params()),
+                                        rng=np.random.default_rng(4))
+        assert all(np.array_equal(a.data, b.data)
+                   for a, b in zip(tracker.grounder.params(), twin.params()))
+        assert tracker.rows == {}
+        tracker.step(x)  # rebuilt from the refit weights
+        m_flat = params.mt.data.reshape(2, -1)
+        assert np.array_equal(tracker.rows[x.tobytes()], (twin(x[np.newaxis])[0] @ m_flat).reshape(
+            m.n_states, m.n_states))
+
 
 class TestSgLoss:
     def test_perfect_grounder_near_zero_loss(self):
@@ -476,7 +511,7 @@ class TestPureLearning:
         learned = minimize(extract_machine(params))
         assert equivalent(learned, target)
 
-    def test_annealing_helps_or_ties_constant_temperature(self):
+    def test_annealing_helps_or_ties_constant_temperature(self, monkeypatch):
         # at constant tau=1 the extracted machine may be wrong; the annealed
         # run's held-out loss must not be worse by more than a coarse margin
         from rmkit.nrm import dataset_loss
@@ -486,9 +521,10 @@ class TestPureLearning:
         heldout = self._dataset(target, n=200, seed=8)
         annealed, g1 = pure_learning(train_set, n_states=3, alphabet=("a", "b"),
                                      output_classes=target.output_classes, seed=0)
+        # the schedule is a module constant: hold it at tau=1 for the constant run
+        monkeypatch.setattr(nrm, "default_tau_schedule", lambda epoch: 1.0)
         constant, g2 = pure_learning(train_set, n_states=3, alphabet=("a", "b"),
-                                     output_classes=target.output_classes, seed=0,
-                                     tau_schedule=lambda epoch: 1.0)
+                                     output_classes=target.output_classes, seed=0)
         loss_annealed = dataset_loss(annealed, g1, heldout)
         loss_constant = dataset_loss(constant, g2, heldout)
         assert loss_annealed <= loss_constant + 0.5

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 
@@ -335,6 +337,68 @@ class TestRowLoop:
         assert small == {True, False}  # class-row counts on both sides of the switch
 
 
+def _codes(rows: np.ndarray, k: int) -> np.ndarray:
+    """Each renaming row as its base-k integer, which keeps lexicographic order."""
+    return rows @ k ** np.arange(k - 1, -1, -1)
+
+
+def _rows(codes: np.ndarray, k: int) -> np.ndarray:
+    return codes[:, np.newaxis] // k ** np.arange(k - 1, -1, -1) % k
+
+
+class TestClosure:
+    """ROADMAP item 6: the URS is a monoid.  If alpha and beta survive, so does
+    ``p -> beta[alpha[p]]``; the identity survives; and a bijective survivor's
+    inverse survives.  Checked from the survivors alone, so it reaches the
+    9-symbol alphabets where ``urs_oracle_exact`` (9^9 renamings) cannot run.
+    Survivor sets over ``_PAIRS`` ordered pairs have their pairs sampled."""
+
+    _PAIRS = 1 << 16
+
+    def _check(self, report, rng):
+        k = len(report.alphabet)
+        # the rows survivors() lists, read block by block: 1.6M survivors need no tuples
+        codes = np.concatenate([_codes(rows[report.survived[index]], k)
+                                for rows, index in report.blocks()])
+        if report.count <= 1000:
+            assert codes.tolist() == _codes(np.array(report.survivors()), k).tolist()
+        assert len(codes) == report.count and (np.diff(codes) > 0).all()
+
+        def survive(rows):
+            i = np.searchsorted(codes, _codes(rows, k)).clip(max=len(codes) - 1)
+            return codes[i] == _codes(rows, k)
+
+        identity = np.arange(k)
+        assert survive(identity[np.newaxis]).all()
+        n = len(codes)
+        first, second = (np.divmod(np.arange(n * n), n) if n * n <= self._PAIRS
+                         else rng.integers(0, n, (2, self._PAIRS)))
+        alpha, beta = _rows(codes[first], k), _rows(codes[second], k)
+        composed = np.take_along_axis(beta, alpha, axis=1)  # composed[i, p] = beta[i, alpha[i, p]]
+        assert survive(composed).all(), (report.alphabet, alpha[~survive(composed)][0],
+                                         beta[~survive(composed)][0])
+        for lo in range(0, n, self._PAIRS):
+            rows = _rows(codes[lo:lo + self._PAIRS], k)
+            bijective = rows[(np.sort(rows, axis=1) == identity).all(axis=1)]
+            assert survive(np.argsort(bijective, axis=1)).all()
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8, 9])
+    def test_task_survivors_form_a_monoid(self, k, compile_formula):
+        rng = np.random.default_rng(k)
+        for tid in sorted(TASK_FORMULAS):
+            m = compile_formula(TASK_FORMULAS[tid], tuple("abcdefghi"[:k]))
+            if (tid, k) == (3, 9):  # 16,777,216 renamings pass level 1, over _MAX_ROWS
+                with pytest.raises(InputError):
+                    find_urs(m)
+                continue
+            self._check(find_urs(m), rng)
+
+    def test_repeated_column_survivors_form_a_monoid(self):
+        rng = np.random.default_rng(29)
+        for _ in range(80):
+            self._check(find_urs(repeated_column_machine(rng, max_states=6, max_symbols=7)), rng)
+
+
 class TestBoundedOracle:
     def test_superset_of_exact_at_small_bound(self, task_machines):
         m = task_machines[1]
@@ -427,6 +491,20 @@ class TestReportCsv:
     def test_format_map(self):
         assert format_map((1, 0, 2, 3, 4), ("a", "b", "c", "d", "e")) == "bacde"
         assert format_map((0, 0), ("left", "right")) == "left,left"
+        assert format_map((0, 0), ("a", "bb")) == "a,a"  # the alphabet, not the images, picks the form
+
+    @pytest.mark.parametrize("names", [("a", "b", "cc"), ("a", "b", '"x', "y"), ("a", "b", ",", "c"),
+                                       ("a", "b", 'q"', "c,d", "e\\")])
+    def test_any_symbol_names_read_back_as_three_fields(self, names, compile_formula):
+        base = compile_formula("F(a) & F(b)", tuple("abcde"[:len(names)]))
+        m = MooreMachine(names, base.transitions, base.outputs, base.output_classes, base.initial)
+        text = "".join(iter_report_csv(find_urs(m)))
+        assert text == full_table_urs(m)[1]
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == ["alpha", "survived", "iterations"] and rows[-1][0] == "TOTAL"
+        assert all(len(row) == 3 for row in rows)
+        renamings = per_renaming(find_urs(m)).candidates
+        assert [row[0] for row in rows[1:-1]] == [format_map(a, names) for a in renamings]
 
 
 class TestReportDiagnostics:

@@ -341,7 +341,7 @@ class TestRuns:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(training, "train_grounder", counting("refit", training.train_grounder))
+        monkeypatch.setattr(nrm, "train_grounder", counting("refit", nrm.train_grounder))
         monkeypatch.setattr(nrm, "forward_batch", counting("forward_batch", nrm.forward_batch))
         monkeypatch.setattr(Value, "backward", counting("backward", Value.backward))
         cfg = TrainConfig(episodes=training.GROUNDER_PERIOD, seeds=(0,))
